@@ -12,6 +12,7 @@ open Because_bgp
 module Sc = Because_scenario
 module Ctx = Bench_context
 module Rng = Because_stats.Rng
+module Manifest = Because_telemetry.Manifest
 
 let make_dataset () =
   (* A representative tomography instance: ~120 nodes, ~600 paths. *)
@@ -68,15 +69,20 @@ let tests () =
   in
   let mh_cached = mh_sweep target "MH run 50 draws (cached)" in
   let mh_uncached = mh_sweep target_uncached "MH run 50 draws (uncached)" in
+  (* [checkpoint] builds the hooks afresh for every iteration. *)
   let infer_jobs ?(telemetry = Because_telemetry.Registry.disabled)
       ?checkpoint jobs name =
     let config =
       { Because.Infer.default_config with
-        n_samples = 100; burn_in = 100; n_chains = 2; jobs; telemetry;
-        checkpoint }
+        n_samples = 100; burn_in = 100; n_chains = 2; jobs; telemetry }
     in
     Bechamel.Test.make ~name
       (Bechamel.Staged.stage (fun () ->
+           let config =
+             match checkpoint with
+             | None -> config
+             | Some fresh -> { config with checkpoint = Some (fresh ()) }
+           in
            ignore (Because.Infer.run ~rng:(Rng.create 7) ~config data)))
   in
   (* The jobs sweep shares one task shape (2 samplers × 2 chains = 4 tasks)
@@ -89,15 +95,19 @@ let tests () =
   let infer_j8 = infer_jobs 8 "inference 4 chains (jobs=8)" in
   (* Paired with [infer_seq]: the same run with live checkpoint hooks at the
      default cadence (wall-clock driven, so a bench-length run only pays the
-     per-sweep cadence test plus the end-of-chain save).  The acceptance bar
-     for the recovery subsystem is < 2% overhead on this pair. *)
+     per-sweep cadence test plus the end-of-chain saves).  Every iteration
+     opens a fresh, non-resuming store on one directory — attaching wipes
+     the previous iteration's snapshots — so each run samples every sweep.
+     A store shared across iterations would resume finished chains and
+     sample nothing, measuring a no-op. *)
   let infer_ckpt =
     let dir = Filename.temp_file "because-bench-ckpt" ".dir" in
     Sys.remove dir;
-    let recovery = Sc.Recovery.create ~dir () in
-    Sc.Recovery.attach recovery ~fingerprint:"bench-kernels";
     infer_jobs
-      ~checkpoint:(Sc.Recovery.chain_hooks recovery ~namespace:"bench.")
+      ~checkpoint:(fun () ->
+        let recovery = Sc.Recovery.create ~dir () in
+        Sc.Recovery.attach recovery ~fingerprint:"bench-kernels";
+        Sc.Recovery.chain_hooks recovery ~namespace:"bench.")
       1 "inference 4 chains (jobs=1, checkpoint)"
   in
   (* One live registry reused across iterations: spans overwrite their ring
@@ -172,13 +182,6 @@ let measure cfg test =
   let words = estimate (Analyze.all ols alloc results) in
   (time, words)
 
-let json_escape name =
-  String.concat ""
-    (List.map
-       (function
-         | '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-       (List.init (String.length name) (String.get name)))
-
 let write_json path rows =
   let oc = open_out path in
   Fun.protect
@@ -192,7 +195,7 @@ let write_json path rows =
         (fun k row ->
           Printf.fprintf oc
             "    { \"name\": \"%s\", \"ns_per_run\": %.3f%s }%s\n"
-            (json_escape row.name) row.ns_per_run
+            (Manifest.json_escape row.name) row.ns_per_run
             (match row.minor_words with
             | Some w -> Printf.sprintf ", \"minor_words_per_run\": %.1f" w
             | None -> "")

@@ -23,6 +23,7 @@ module Script = Because_sim.Script
 module Sharded = Because_sim.Sharded
 module Schedule = Because_beacon.Schedule
 module Site = Because_beacon.Site
+module Manifest = Because_telemetry.Manifest
 
 (* The same stimulus Campaign.run_multi records for a one-interval
    fault-free campaign: Beacon sites plus exponential background churn. *)
@@ -230,12 +231,12 @@ let write_json path rows =
                 "    { \"name\": \"%s\", \"kind\": \"throughput\", \"jobs\": \
                  %d, \"events\": %d, \"seconds\": %.3f, \"events_per_sec\": \
                  %.1f }"
-                (Kernels.json_escape name) jobs events seconds events_per_sec
+                (Manifest.json_escape name) jobs events seconds events_per_sec
           | Hot_path { name; ns_per_update } ->
               Printf.fprintf oc
                 "    { \"name\": \"%s\", \"kind\": \"router\", \
                  \"ns_per_update\": %.2f }"
-                (Kernels.json_escape name) ns_per_update);
+                (Manifest.json_escape name) ns_per_update);
           output_string oc (if k = List.length rows - 1 then "\n" else ",\n"))
         rows;
       output_string oc "  ]\n}\n")

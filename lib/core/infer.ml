@@ -8,6 +8,7 @@ module Tel = Because_telemetry.Registry
 module Supervise = Because_recover.Supervise
 module Chain_ckpt = Because_recover.Chain_ckpt
 module Sampler_state = Because_recover.Sampler_state
+module Policy = Because_resilience.Policy
 
 type config = {
   n_samples : int;
@@ -19,8 +20,6 @@ type config = {
   leapfrog_steps : int;
   run_mh : bool;
   run_hmc : bool;
-  max_restarts : int;
-  retry_backoff_s : float;
   n_chains : int;
   jobs : int;
   telemetry : Tel.t;
@@ -40,8 +39,6 @@ let default_config =
     leapfrog_steps = 12;
     run_mh = true;
     run_hmc = true;
-    max_restarts = 2;
-    retry_backoff_s = 0.01;
     n_chains = 1;
     jobs = 1;
     telemetry = Tel.disabled;
@@ -66,6 +63,11 @@ type result = {
 
 let chain_healthy chain = Chain.for_all_values Float.is_finite chain
 
+(* Three attempts per chain, the two restarts after 0.02 s and 0.04 s of
+   wall time.  No jitter: the wait never touches an RNG stream, and a
+   fixed schedule keeps restart timing as reproducible as the draws. *)
+let restart_policy = Policy.make ~base_s:0.02 ~jitter:0.0 ~max_attempts:3 ()
+
 (* Attempt 0 runs on the task's own pre-split generator, so for the default
    single-chain configuration a healthy run consumes exactly the one
    [Rng.split] per sampler the sequential code always did; retries split
@@ -79,7 +81,7 @@ let chain_healthy chain = Chain.for_all_values Float.is_finite chain
    uninterrupted run would have given them, and even a
    fail-after-resume trajectory stays bit-for-bit identical. *)
 let run_with_restarts ~config ~rng ~name ~chain_index sample =
-  let max_restarts = config.max_restarts in
+  let attempts = restart_policy.Policy.max_attempts in
   let key = Printf.sprintf "%s.chain%d" name chain_index in
   let final_sweep = config.burn_in + (config.n_samples * config.thin) in
   let saved =
@@ -103,8 +105,7 @@ let run_with_restarts ~config ~rng ~name ~chain_index sample =
     (* Backoff only before a genuinely fresh retry — a resumed attempt
        already paid it in its first life.  Wall-clock only; never touches
        any RNG stream. *)
-    if k > 0 && resume = None then
-      Supervise.wait_backoff ~attempt:k ~base_s:config.retry_backoff_s;
+    if k > 0 && resume = None then Policy.wait restart_policy ~attempt:k;
     let token = Supervise.start ~label:key config.supervise in
     (* Every chain gets a control callback so a process-wide drain request
        (SIGTERM, service shutdown) reaches it at the next sweep boundary.
@@ -151,14 +152,14 @@ let run_with_restarts ~config ~rng ~name ~chain_index sample =
     | `Diverged msg ->
         let warnings =
           Printf.sprintf "%s attempt %d/%d diverged: %s" name (k + 1)
-            (max_restarts + 1) msg
+            attempts msg
           :: warnings
         in
-        if k >= max_restarts then
+        if not (Policy.retries_left restart_policy ~attempt:(k + 1)) then
           ( None,
             List.rev
               (Printf.sprintf "%s disabled: no healthy chain in %d attempts"
-                 name (max_restarts + 1)
+                 name attempts
               :: warnings),
             None )
         else attempt (k + 1) warnings ~resume:None
@@ -305,14 +306,10 @@ let flush_chain_telemetry reg config ~target ~name ~chain_index outcome =
 let run ~rng ?(config = default_config) data =
   if not (config.run_mh || config.run_hmc) then
     invalid_arg "Infer.run: at least one sampler must be enabled";
-  if config.max_restarts < 0 then
-    invalid_arg "Infer.run: max_restarts must be non-negative";
   if config.n_chains < 1 then
     invalid_arg "Infer.run: n_chains must be positive";
   if config.jobs < 1 then invalid_arg "Infer.run: jobs must be positive";
   if config.thin < 1 then invalid_arg "Infer.run: thin must be positive";
-  if config.retry_backoff_s < 0.0 then
-    invalid_arg "Infer.run: retry_backoff_s must be non-negative";
   let model =
     Model.create ~prior:config.prior ~node_priors:config.node_priors
       ~false_negative_rate:config.false_negative_rate data

@@ -21,13 +21,6 @@ type config = {
   leapfrog_steps : int;  (** HMC trajectory length. *)
   run_mh : bool;
   run_hmc : bool;
-  max_restarts : int;
-      (** Automatic restarts (fresh RNG split each) granted to a chain
-          whose run diverges or raises on a non-finite log-density. *)
-  retry_backoff_s : float;
-      (** Base of the exponential wall-clock backoff before restart [k]
-          (delay = base·2ᵏ, capped at 1 s).  Pure wall time — never touches
-          an RNG stream, so results stay deterministic.  0 disables. *)
   n_chains : int;
       (** Independent chains per enabled sampler.  1 (the default)
           reproduces the single-chain behaviour exactly; more chains feed
@@ -65,8 +58,8 @@ type config = {
 
 val default_config : config
 (** 1000 samples after 500 burn-in, no thinning, {!Prior.default}, 12
-    leapfrog steps, both samplers, 2 restarts, 1 chain each, 1 job,
-    telemetry disabled. *)
+    leapfrog steps, both samplers, 1 chain each, 1 job, telemetry
+    disabled. *)
 
 type sampler_run = {
   name : string;          (** ["MH"] or ["HMC"]. *)
@@ -93,9 +86,11 @@ type result = {
 
 val run :
   rng:Because_stats.Rng.t -> ?config:config -> Tomography.t -> result
-(** Never raises on sampler divergence: each chain gets [1 + max_restarts]
-    attempts and is skipped with a warning if none yields an all-finite
-    chain.  [runs] can therefore be empty; downstream consumers must treat
+(** Never raises on sampler divergence: a chain whose run diverges or
+    raises on a non-finite log-density is restarted on a fresh RNG split,
+    up to three attempts in all (the restarts after 0.02 s and 0.04 s of
+    wall time — pure wall time that never touches an RNG stream), and is
+    skipped with a warning if none yields an all-finite chain.  [runs] can therefore be empty; downstream consumers must treat
     that as "no posterior" rather than call {!combined_chain}.
 
     Determinism: the per-task generators are split off [rng] in fixed task

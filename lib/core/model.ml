@@ -56,10 +56,6 @@ let path_term t label s =
   else if t.epsilon = 0.0 then s
   else Float.log (t.epsilon +. ((1.0 -. t.epsilon) *. Float.exp s))
 
-let path_log_prob t p j =
-  let s = path_log_q_arr t p j in
-  path_term t (Tomography.label t.data j) s
-
 (* [path_log_q_arr]/[path_term] spelled out in one loop: without flambda a
    float-returning call boxes its argument and result, and those two calls
    per path were most of the likelihood's allocation.  The expressions are

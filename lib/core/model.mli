@@ -63,6 +63,3 @@ val target : ?cached:bool -> t -> Because_mcmc.Target.t
     [~cached:false] is the reference configuration: samplers then fall back
     to the stateless [delta_log_posterior] path — used by the equivalence
     tests and the paired bench measurements. *)
-
-val path_log_prob : t -> float array -> int -> float
-(** Log probability of a single observation under [p] (exposed for tests). *)

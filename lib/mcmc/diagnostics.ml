@@ -147,8 +147,3 @@ let split_r_hat_coord chain i =
       [| window_variance chain i ~pos:0 ~len:half;
          window_variance chain i ~pos:(n - half) ~len:half |]
   end
-
-let summary_line ~name xs =
-  Printf.sprintf "%-12s mean=%8.4f sd=%8.4f ess=%8.1f split_rhat=%6.3f" name
-    (Summary.mean xs) (Summary.std xs) (effective_sample_size xs)
-    (split_r_hat xs)

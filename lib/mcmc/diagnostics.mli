@@ -26,6 +26,3 @@ val r_hat_coord : Chain.t array -> int -> float
     [r_hat (Array.map (fun c -> Chain.marginal c i) chains)] bit-for-bit,
     without materialising the marginals.  Raises [Invalid_argument] on
     fewer than two chains or unequal lengths. *)
-
-val summary_line : name:string -> float array -> string
-(** One-line "mean sd ess rhat" rendering for reports. *)

@@ -4,19 +4,7 @@ module Special = Because_stats.Special
 
 type result = { chain : Chain.t; acceptance : float; grid : int }
 
-(* Complete between-sweeps state of [run]; see Metropolis.state for the
-   design notes — the shape differs only in the Gibbs-specific counters. *)
-type state = {
-  s_sweep : int;
-  s_rng : string;
-  s_current : float array;
-  s_kept : float array; (* flat row-major kept draws, kept × dim *)
-  s_moved_sweeps : int;
-  s_cache : float array option;
-}
-
-let run ~rng ?init ?(grid = 64) ?(thin = 1) ?resume ?control ~n_samples
-    ~burn_in target =
+let run ~rng ?init ?(grid = 64) ?(thin = 1) ~n_samples ~burn_in target =
   (match target.Target.support with
   | Target.Unit_interval -> ()
   | Target.Unbounded ->
@@ -24,17 +12,8 @@ let run ~rng ?init ?(grid = 64) ?(thin = 1) ?resume ?control ~n_samples
   if grid < 4 then invalid_arg "Gibbs.run: grid too coarse";
   if thin <= 0 then invalid_arg "Gibbs.run: thin must be positive";
   let dim = target.Target.dim in
-  let rng =
-    match resume with Some s -> Rng.of_state s.s_rng | None -> rng
-  in
   let current =
-    match resume with
-    | Some s ->
-        if Array.length s.s_current <> dim then
-          invalid_arg "Gibbs.run: resume state dimension mismatch";
-        Array.copy s.s_current
-    | None -> (
-        match init with Some p -> Array.copy p | None -> Array.make dim 0.5)
+    match init with Some p -> Array.copy p | None -> Array.make dim 0.5
   in
   (* Grid cell centres on (0, 1). *)
   let points =
@@ -46,20 +25,6 @@ let run ~rng ?init ?(grid = 64) ?(thin = 1) ?resume ?control ~n_samples
      once per coordinate.  Fall back to the stateless delta, then to a full
      recompute. *)
   let cache = Option.map (fun mk -> mk current) target.Target.make_cache in
-  (match resume with
-  | Some s -> (
-      match (cache, s.s_cache) with
-      | Some c, Some saved -> c.Target.cached_restore saved
-      | None, None -> ()
-      | Some _, None ->
-          invalid_arg
-            "Gibbs.run: resume state lacks the cache state this target \
-             requires"
-      | None, Some _ ->
-          invalid_arg
-            "Gibbs.run: resume state carries a cache state but the target \
-             has no cache")
-  | None -> ());
   let delta =
     match cache with
     | Some c -> fun _ i v -> c.Target.cached_delta i v
@@ -102,31 +67,8 @@ let run ~rng ?init ?(grid = 64) ?(thin = 1) ?resume ?control ~n_samples
     cell <> old_cell
   in
   let kept = Chain.Builder.create ~dim ~capacity:n_samples in
-  (match resume with
-  | Some s ->
-      if Array.length s.s_kept > n_samples * dim then
-        invalid_arg "Gibbs.run: resume state has more draws than n_samples";
-      (match Chain.Builder.load_flat kept s.s_kept with
-      | () -> ()
-      | exception Invalid_argument _ ->
-          invalid_arg "Gibbs.run: resume state dimension mismatch")
-  | None -> ());
-  let sweep_idx =
-    ref (match resume with Some s -> s.s_sweep | None -> 0)
-  in
-  let moved_sweeps =
-    ref (match resume with Some s -> s.s_moved_sweeps | None -> 0)
-  in
-  let snapshot () =
-    {
-      s_sweep = !sweep_idx;
-      s_rng = Rng.state rng;
-      s_current = Array.copy current;
-      s_kept = Chain.Builder.flat_prefix kept;
-      s_moved_sweeps = !moved_sweeps;
-      s_cache = Option.map (fun c -> c.Target.cached_state ()) cache;
-    }
-  in
+  let sweep_idx = ref 0 in
+  let moved_sweeps = ref 0 in
   let finished = ref (Chain.Builder.count kept >= n_samples) in
   while not !finished do
     let moved = ref false in
@@ -140,10 +82,7 @@ let run ~rng ?init ?(grid = 64) ?(thin = 1) ?resume ?control ~n_samples
         Chain.Builder.push kept current
     end;
     incr sweep_idx;
-    if Chain.Builder.count kept >= n_samples then finished := true;
-    match control with
-    | Some f -> f ~sweep:!sweep_idx ~state:snapshot
-    | None -> ()
+    if Chain.Builder.count kept >= n_samples then finished := true
   done;
   let acceptance =
     if !sweep_idx = 0 then 0.0

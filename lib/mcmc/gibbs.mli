@@ -28,25 +28,11 @@ type result = {
   grid : int;
 }
 
-type state = {
-  s_sweep : int;
-  s_rng : string;
-  s_current : float array;
-  s_kept : float array;
-      (** Retained draws so far, flat row-major ([kept × dim] values). *)
-  s_moved_sweeps : int;
-  s_cache : float array option;
-}
-(** Complete between-sweeps state of {!run}; same contract as
-    {!Metropolis.state} — resuming replays the identical trajectory. *)
-
 val run :
   rng:Because_stats.Rng.t ->
   ?init:float array ->
   ?grid:int ->
   ?thin:int ->
-  ?resume:state ->
-  ?control:(sweep:int -> state:(unit -> state) -> unit) ->
   n_samples:int ->
   burn_in:int ->
   Target.t ->
@@ -54,8 +40,8 @@ val run :
 (** [run ~rng ~n_samples ~burn_in target] requires a target on the unit box.
     [grid] (default 64) is the number of conditional-density evaluation
     points per coordinate update.  Uses [target.log_density_delta] when
-    available, the full density otherwise.  [resume]/[control] follow the
-    {!Metropolis.run_single_site} contract (note: [grid] must match the
-    original run — it is part of the trajectory, not of the saved state).
-    @raise Invalid_argument when [thin <= 0], [grid < 4], the target is not
-    on the unit box, or a [resume] state does not match the target. *)
+    available, the full density otherwise.  Unlike MH and HMC it has no
+    checkpoint/resume hooks: inference never runs it, only the §8 cost
+    ablation does.
+    @raise Invalid_argument when [thin <= 0], [grid < 4] or the target is
+    not on the unit box. *)

@@ -25,24 +25,6 @@ let decode_saved payload =
   Codec.expect_end r;
   { state; prior_warnings }
 
-let store_hooks store ~namespace ?(every_sweeps = None)
-    ?(every_seconds = Some default_every_seconds) () =
-  let full key = namespace ^ key in
-  let load ~key =
-    match Checkpoint.load store ~key:(full key) with
-    | None -> None
-    | Some payload -> (
-        (* A payload that passed the CRC but fails to decode is treated
-           the same as corruption: warn and start the chain fresh. *)
-        match decode_saved payload with
-        | sv -> Some sv
-        | exception Codec.Malformed _ -> None)
-  in
-  let save ~key ~sweep:_ sv =
-    Checkpoint.save store ~key:(full key) (encode_saved sv)
-  in
-  { load; save; every_sweeps; every_seconds }
-
 let save_now hooks ~key ~prior_warnings ~sweep ~state =
   hooks.save ~key ~sweep { state = state (); prior_warnings }
 

@@ -1,9 +1,10 @@
 (** Per-chain checkpoint hooks for the inference driver.
 
     The driver sees only {!hooks}: a way to load the last snapshot for a
-    chain key and a way to save one.  How snapshots are stored
-    ({!Checkpoint}), and when ({!make_control}'s cadence), is decided
-    here, so the sampling code has no filesystem or policy knowledge. *)
+    chain key and a way to save one.  Where snapshots are stored is up to
+    whoever builds the hooks (the campaign's recovery store); when they
+    are taken ({!make_control}'s cadence) is decided here, so the sampling
+    code has no filesystem or policy knowledge. *)
 
 type saved = {
   state : Sampler_state.t;
@@ -27,18 +28,6 @@ val default_every_seconds : float
 val encode_saved : saved -> string
 val decode_saved : string -> saved
 (** Raises {!Codec.Malformed} on bad input. *)
-
-val store_hooks :
-  Checkpoint.t ->
-  namespace:string ->
-  ?every_sweeps:int option ->
-  ?every_seconds:float option ->
-  unit ->
-  hooks
-(** Hooks backed by a {!Checkpoint} store; [namespace] prefixes every key
-    (e.g. one namespace per Beacon interval).  A snapshot that passes the
-    CRC but fails to decode loads as [None] (fresh start), never an
-    exception. *)
 
 val save_now :
   hooks ->

@@ -5,39 +5,16 @@
    never learn about envelopes or checksums, and the wire format can
    version independently of the sampler internals.
 
-   Format history: tags 0/1/2 (Mh/Hmc/Gibbs) stored the kept draws as an
-   array of per-draw rows; tags 3/4/5 store them as one flat row-major
-   float array, matching the samplers' in-memory representation.  New
-   snapshots are always written with the flat tags; both generations
-   decode, so resuming from a pre-flat checkpoint keeps working. *)
+   Tags 3 (MH) and 4 (HMC) store the kept draws as one flat row-major
+   float array, matching the samplers' in-memory representation.  Any
+   other tag — including the retired row-array tags 0–2 and the Gibbs
+   tag 5 — is rejected as malformed, which the resume path turns into a
+   fresh chain. *)
 
 module Metropolis = Because_mcmc.Metropolis
 module Hmc = Because_mcmc.Hmc
-module Gibbs = Because_mcmc.Gibbs
 
-type t =
-  | Mh of Metropolis.state
-  | Hmc of Hmc.state
-  | Gibbs of Gibbs.state
-
-let sweep = function
-  | Mh s -> s.Metropolis.s_sweep
-  | Hmc s -> s.Hmc.s_iter
-  | Gibbs s -> s.Gibbs.s_sweep
-
-(* [s_kept] is flat, so the draw count is values / dim; the dimension comes
-   from the current point, which always has the target's (positive) dim. *)
-let draws_kept = function
-  | Mh s ->
-      Array.length s.Metropolis.s_kept / Array.length s.Metropolis.s_current
-  | Hmc s -> Array.length s.Hmc.s_kept / Array.length s.Hmc.s_position
-  | Gibbs s -> Array.length s.Gibbs.s_kept / Array.length s.Gibbs.s_current
-
-(* Legacy row-array draws (tags 0/1/2): decode and flatten row-major, which
-   is exactly the layout the flat samplers expect back. *)
-let read_legacy_samples r =
-  let rows = Codec.read_array r Codec.read_float_array in
-  Array.concat (Array.to_list rows)
+type t = Mh of Metropolis.state | Hmc of Hmc.state
 
 let encode_mh w (s : Metropolis.state) =
   Codec.int w s.s_sweep;
@@ -51,16 +28,14 @@ let encode_mh w (s : Metropolis.state) =
   Codec.int w s.s_proposed_post;
   Codec.option w Codec.float_array s.s_cache
 
-let decode_mh ~legacy r : Metropolis.state =
+let decode_mh r : Metropolis.state =
   let s_sweep = Codec.read_int r in
   let s_rng = Codec.read_string r in
   let s_current = Codec.read_float_array r in
   let s_steps = Codec.read_float_array r in
   let s_log_post = Codec.read_float r in
   let s_accept_window = Codec.read_int_array r in
-  let s_kept =
-    if legacy then read_legacy_samples r else Codec.read_float_array r
-  in
+  let s_kept = Codec.read_float_array r in
   let s_accepted_post = Codec.read_int r in
   let s_proposed_post = Codec.read_int r in
   let s_cache = Codec.read_option r Codec.read_float_array in
@@ -88,16 +63,14 @@ let encode_hmc w (s : Hmc.state) =
   Codec.int w s.s_accepted_post;
   Codec.int w s.s_proposed_post
 
-let decode_hmc ~legacy r : Hmc.state =
+let decode_hmc r : Hmc.state =
   let s_iter = Codec.read_int r in
   let s_rng = Codec.read_string r in
   let s_position = Codec.read_float_array r in
   let s_step = Codec.read_float r in
   let s_log_post = Codec.read_float r in
   let s_accept_window = Codec.read_int r in
-  let s_kept =
-    if legacy then read_legacy_samples r else Codec.read_float_array r
-  in
+  let s_kept = Codec.read_float_array r in
   let s_accepted_post = Codec.read_int r in
   let s_proposed_post = Codec.read_int r in
   {
@@ -112,25 +85,6 @@ let decode_hmc ~legacy r : Hmc.state =
     s_proposed_post;
   }
 
-let encode_gibbs w (s : Gibbs.state) =
-  Codec.int w s.s_sweep;
-  Codec.string w s.s_rng;
-  Codec.float_array w s.s_current;
-  Codec.float_array w s.s_kept;
-  Codec.int w s.s_moved_sweeps;
-  Codec.option w Codec.float_array s.s_cache
-
-let decode_gibbs ~legacy r : Gibbs.state =
-  let s_sweep = Codec.read_int r in
-  let s_rng = Codec.read_string r in
-  let s_current = Codec.read_float_array r in
-  let s_kept =
-    if legacy then read_legacy_samples r else Codec.read_float_array r
-  in
-  let s_moved_sweeps = Codec.read_int r in
-  let s_cache = Codec.read_option r Codec.read_float_array in
-  { s_sweep; s_rng; s_current; s_kept; s_moved_sweeps; s_cache }
-
 let encode w = function
   | Mh s ->
       Codec.u8 w 3;
@@ -138,16 +92,9 @@ let encode w = function
   | Hmc s ->
       Codec.u8 w 4;
       encode_hmc w s
-  | Gibbs s ->
-      Codec.u8 w 5;
-      encode_gibbs w s
 
 let decode r =
   match Codec.read_u8 r with
-  | 0 -> Mh (decode_mh ~legacy:true r)
-  | 1 -> Hmc (decode_hmc ~legacy:true r)
-  | 2 -> Gibbs (decode_gibbs ~legacy:true r)
-  | 3 -> Mh (decode_mh ~legacy:false r)
-  | 4 -> Hmc (decode_hmc ~legacy:false r)
-  | 5 -> Gibbs (decode_gibbs ~legacy:false r)
+  | 3 -> Mh (decode_mh r)
+  | 4 -> Hmc (decode_hmc r)
   | tag -> raise (Codec.Malformed (Printf.sprintf "unknown sampler tag %d" tag))

@@ -4,20 +4,13 @@
     record the sampler itself defines.  The encode/decode pair is the only
     place the on-disk layout of MCMC state is known.
 
-    Two on-disk generations exist: legacy tags 0/1/2 stored kept draws as
-    an array of rows, current tags 3/4/5 store them flat (row-major).
-    {!encode} always writes the flat form; {!decode} accepts both. *)
+    Kept draws are stored flat (row-major) under tag 3 (MH) or 4 (HMC).
+    {!decode} rejects every other tag, including the retired row-array
+    tags 0–2 and the Gibbs tag 5. *)
 
 type t =
   | Mh of Because_mcmc.Metropolis.state
   | Hmc of Because_mcmc.Hmc.state
-  | Gibbs of Because_mcmc.Gibbs.state
-
-val sweep : t -> int
-(** Completed sweeps (iterations for HMC) at the snapshot. *)
-
-val draws_kept : t -> int
-(** Retained posterior draws at the snapshot. *)
 
 val encode : Codec.writer -> t -> unit
 

@@ -1,5 +1,5 @@
-(* Per-chain supervision: wall-clock deadlines, sweep budgets, retry
-   backoff, and the campaign-level health verdict.
+(* Per-chain supervision: wall-clock deadlines, sweep budgets, cooperative
+   drain, and the campaign-level health verdict.
 
    Budgets are enforced *cooperatively*: the sampler calls [tick] once per
    completed sweep and we raise [Aborted] when a limit is crossed.  That
@@ -67,25 +67,6 @@ let request_drain () = Atomic.set drain_flag true
 let clear_drain () = Atomic.set drain_flag false
 let draining () = Atomic.get drain_flag
 let check_drain () = if Atomic.get drain_flag then raise Drained
-
-(* --- retry backoff --- *)
-
-(* Busy-wait on the monotonic clock: the stats/mcmc layers have no Unix
-   dependency and restarts are rare, so burning a few milliseconds beats
-   pulling in a sleep syscall.  Capped so a misconfigured factor cannot
-   stall a chain. *)
-let backoff_s ~attempt ~base_s =
-  if attempt <= 0 then 0.0 else min 1.0 (base_s *. Float.of_int (1 lsl min attempt 10))
-
-let wait_backoff ~attempt ~base_s =
-  let d = backoff_s ~attempt ~base_s in
-  if d > 0.0 then begin
-    let t0 = Monotonic_clock.now () in
-    let target = Int64.add t0 (Int64.of_float (d *. 1e9)) in
-    while Int64.compare (Monotonic_clock.now ()) target < 0 do
-      Domain.cpu_relax ()
-    done
-  end
 
 (* --- campaign health --- *)
 

@@ -1,5 +1,7 @@
-(** Chain supervision: budgets, cooperative cancellation, retry backoff,
-    and the campaign health verdict.
+(** Chain supervision: budgets, cooperative cancellation and the
+    campaign health verdict.  Restart backoff is not here: [Infer] waits
+    on a [Because_resilience.Policy.t] like every other retry in the
+    system.
 
     A {!budget} caps a single chain by wall-clock and/or sweep count.  The
     sampler reports each completed sweep via {!tick} on its {!token};
@@ -63,14 +65,6 @@ val clear_drain : unit -> unit
 
 val draining : unit -> bool
 val check_drain : unit -> unit
-
-val backoff_s : attempt:int -> base_s:float -> float
-(** Exponential backoff delay before restart [attempt] (1-based), capped
-    at one second.  [attempt <= 0] is [0]. *)
-
-val wait_backoff : attempt:int -> base_s:float -> unit
-(** Busy-wait the backoff delay on the monotonic clock ([cpu_relax] in the
-    loop; no Unix dependency). *)
 
 (** {1 Campaign health} *)
 

@@ -145,11 +145,11 @@ let schedule_background rng world script ~count ~mean_gap ~campaign_end =
    parameters, the fully-recorded stimulus script, the interval set, every
    result-affecting campaign scalar, the noise and fault plans, and the
    inference settings.  Parallelism and memory knobs ([sim_jobs],
-   [sim_shards], [feed_spill_dir], [feed_buffer], [infer_config.jobs]), the
-   supervision budget and wall-clock-only backoff are deliberately excluded:
-   outcomes are jobs-invariant and spill-invariant, and resuming with more
-   workers, a larger budget, or feeds on disk is exactly the operational
-   move the checkpoint store exists to allow. *)
+   [sim_shards], [feed_spill_dir], [feed_buffer], [infer_config.jobs]) and
+   the supervision budget are deliberately excluded: outcomes are
+   jobs-invariant and spill-invariant, and resuming with more workers, a
+   larger budget, or feeds on disk is exactly the operational move the
+   checkpoint store exists to allow. *)
 let fingerprint world params ~intervals ~script =
   let ic = params.infer_config in
   let infer_scalars =
@@ -161,7 +161,6 @@ let fingerprint world params ~intervals ~script =
       ic.Because.Infer.leapfrog_steps,
       ic.Because.Infer.run_mh,
       ic.Because.Infer.run_hmc,
-      ic.Because.Infer.max_restarts,
       ic.Because.Infer.n_chains )
   in
   let campaign_scalars =
@@ -296,11 +295,11 @@ let run_multi ?recovery world params ~intervals =
   (* The store opens only once the stimulus is complete: the fingerprint
      covers the recorded script, so a snapshot can never be replayed into a
      different campaign. *)
-  (match recovery with
-  | Some r ->
-      Recovery.attach r ~fingerprint:(fingerprint world params ~intervals ~script);
-      Recovery.note_phase r "stimulus"
-  | None -> ());
+  Option.iter
+    (fun r ->
+      Recovery.attach r
+        ~fingerprint:(fingerprint world params ~intervals ~script))
+    recovery;
   let sim =
     Tel.Span.with_ params.telemetry ~name:"campaign.sim" (fun () ->
         Sharded.run ?fault_rng ~telemetry:params.telemetry
@@ -317,7 +316,6 @@ let run_multi ?recovery world params ~intervals =
           ~monitored:(World.monitored world)
           ~until:campaign_end script)
   in
-  Option.iter (fun r -> Recovery.note_phase r "simulated") recovery;
   (* Drain boundary: a shutdown requested mid-simulation lands here once
      the in-flight shards have checkpointed; everything below is cheaper to
      recompute on resume than to persist. *)
@@ -474,11 +472,9 @@ let run_multi ?recovery world params ~intervals =
     if Tel.is_enabled params.telemetry then Some (Tel.snapshot params.telemetry)
     else None
   in
-  (match recovery with
-  | Some r ->
-      Recovery.note_phase r "complete";
-      Option.iter (Recovery.save_telemetry r) snap
-  | None -> ());
+  (match (recovery, snap) with
+  | Some r, Some s -> Recovery.save_telemetry r s
+  | _ -> ());
   match snap with
   | Some s -> List.map (fun o -> { o with telemetry = Some s }) outcomes
   | None -> outcomes

@@ -46,7 +46,6 @@ let create ~dir ?(resume = false) ?every_sweeps
   }
 
 let dir t = t.dir
-let resuming t = t.resume
 
 let record_warning t msg =
   Mutex.lock t.mutex;
@@ -305,16 +304,8 @@ let chain_hooks t ~namespace =
     every_seconds = t.every_seconds;
   }
 
-(* Informational snapshots: phase progress and the final telemetry view.
-   Both replace-on-write; neither participates in resume decisions. *)
-
-let note_phase t phase = save_payload t ~key:"campaign.phase" phase
-
-let phase t =
-  match load_payload t ~key:"campaign.phase" with
-  | Some p -> Some p
-  | None -> None
-
+(* Informational snapshot of the final telemetry view: replace-on-write,
+   never read by resume. *)
 let save_telemetry t snapshot =
   save_payload t ~key:"telemetry.json"
     (Because_telemetry.Export.to_json snapshot)

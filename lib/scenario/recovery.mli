@@ -2,7 +2,7 @@
 
     One {!Because_recover.Checkpoint} store shared by everything a campaign
     run produces incrementally: finished simulation shards, in-flight MCMC
-    chain states, a phase-progress note and the final telemetry snapshot.
+    chain states and the final telemetry snapshot.
     The store is bound to a fingerprint of the campaign's full stimulus, so
     snapshots can only resume the exact campaign that wrote them —
     mismatches quarantine the old snapshots and start fresh.
@@ -43,7 +43,6 @@ val attach : t -> fingerprint:string -> unit
     [fingerprint].  Wipes prior snapshots first unless resuming. *)
 
 val dir : t -> string
-val resuming : t -> bool
 
 val warnings : t -> string list
 (** Store-level recovery notes (corruption, quarantine, fallback) followed
@@ -62,12 +61,6 @@ val sim_hooks : t -> Because_sim.Sharded.checkpoint_hooks
 val chain_hooks : t -> namespace:string -> Because_recover.Chain_ckpt.hooks
 (** Chain snapshot hooks with keys prefixed by [namespace] (one namespace
     per Beacon interval), on this store's cadence. *)
-
-val note_phase : t -> string -> unit
-(** Record an informational phase-progress note (replaces the previous
-    one).  Purely diagnostic — resume decisions never read it. *)
-
-val phase : t -> string option
 
 val save_telemetry : t -> Because_telemetry.Snapshot.t -> unit
 (** Persist the final telemetry snapshot as JSON under [telemetry.json]. *)

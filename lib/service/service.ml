@@ -119,19 +119,15 @@ let atomic_write path content =
 let queue_fingerprint = "because-service-queue/1"
 let queue_key = "queue"
 
-(* Version 1 is the PR-6 layout; version 2 appends the streaming fields
-   (epoch, warm, gate, observation count) per entry.  A queue with no
-   streaming entries still writes version 1, byte-for-byte the historical
-   snapshot, so mixed-version service generations interoperate. *)
+(* Layout version 2: each entry carries its streaming fields (epoch, warm,
+   gate, observation count).  Any other version — the retired version 1
+   included — is malformed, so a warm start discards it with a warning and
+   comes up cold. *)
+let queue_version = 2
+
 let encode_queue t =
-  let entries = Store.entries t.store in
-  let has_stream =
-    List.exists (fun (e : Store.entry) -> e.Store.spec.Spec.obs <> None)
-      entries
-  in
-  let version = if has_stream then 2 else 1 in
   let w = Codec.writer () in
-  Codec.int w version;
+  Codec.int w queue_version;
   Codec.list w
     (fun w (e : Store.entry) ->
       Codec.string w (Spec.to_line e.Store.spec);
@@ -154,13 +150,11 @@ let encode_queue t =
           Codec.int w est.Store.category;
           Codec.bool w est.Store.damping)
         (Array.to_list e.Store.estimates);
-      if version >= 2 then begin
-        Codec.int w e.Store.epoch;
-        Codec.bool w e.Store.warm;
-        Codec.option w Codec.int e.Store.gate_sweeps;
-        Codec.int w e.Store.obs_count
-      end)
-    entries;
+      Codec.int w e.Store.epoch;
+      Codec.bool w e.Store.warm;
+      Codec.option w Codec.int e.Store.gate_sweeps;
+      Codec.int w e.Store.obs_count)
+    (Store.entries t.store);
   Codec.contents w
 
 type decoded = {
@@ -177,7 +171,7 @@ type decoded = {
 let decode_queue payload =
   let r = Codec.reader payload in
   let version = Codec.read_int r in
-  if version <> 1 && version <> 2 then
+  if version <> queue_version then
     raise (Codec.Malformed (Printf.sprintf "queue snapshot v%d" version));
   let entries =
     Codec.read_list r (fun r ->
@@ -196,15 +190,10 @@ let decode_queue payload =
               { Store.asn; mean; lo; hi; category; damping })
           |> Array.of_list
         in
-        let d_epoch, d_warm, d_gate_sweeps, d_obs_count =
-          if version >= 2 then
-            let epoch = Codec.read_int r in
-            let warm = Codec.read_bool r in
-            let gate = Codec.read_option r Codec.read_int in
-            let obs = Codec.read_int r in
-            (epoch, warm, gate, obs)
-          else (1, false, None, 0)
-        in
+        let d_epoch = Codec.read_int r in
+        let d_warm = Codec.read_bool r in
+        let d_gate_sweeps = Codec.read_option r Codec.read_int in
+        let d_obs_count = Codec.read_int r in
         let d_done =
           match tag with
           | 0 -> None

@@ -165,19 +165,7 @@ let report entry =
 
 (* Ids are validated to [A-Za-z0-9._-] and reasons come from our own code,
    but escape anyway so the JSON stays well-formed no matter what. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = Because_telemetry.Manifest.json_escape
 
 let to_json t ~draining ~limit ~depth =
   let b = Buffer.create 2048 in

@@ -86,8 +86,9 @@ val report : entry -> string
     uninterrupted report byte-for-byte. *)
 
 val json_escape : string -> string
-(** JSON string-body escaping: quotes, backslashes and every control byte
-    (as [\uXXXX]); the output is always a valid JSON string body. *)
+(** {!Because_telemetry.Manifest.json_escape}: quotes, backslashes and
+    every control byte are escaped, so the output is always a valid JSON
+    string body. *)
 
 val to_json : t -> draining:bool -> limit:int -> depth:int -> string
 (** Service status document: rollup, queue stats, per-campaign health and

@@ -319,37 +319,67 @@ let test_isolation_and_retry_exhaustion () =
 (* ------------------------------------------------------------------ *)
 (* Corrupt queue snapshot on warm start: quarantine + cold restart      *)
 
-let test_corrupt_queue_warm_start () =
-  with_drain_reset @@ fun () ->
-  let dir = fresh_dir () in
-  let spec = tiny_spec "solo" in
-  let svc = Service.create (cfg ~dir ()) in
-  submit_ok svc spec;
-  (match Service.run_until_idle svc with
-  | Service.Completed -> ()
-  | _ -> Alcotest.fail "seed run did not complete");
-  let reference = read_file (Service.report_path svc ~id:"solo") in
-  (* Garble the queue store's manifest: the fingerprint no longer
-     matches, so the warm start must quarantine the snapshot and come up
-     cold — warned, not crashed. *)
+(* Garble the queue store's manifest: the fingerprint no longer matches,
+   so the store quarantines the snapshot file. *)
+let garble_manifest dir =
   let manifest = Filename.concat (Filename.concat dir "queue.d") "MANIFEST" in
   Out_channel.with_open_bin manifest (fun oc ->
-      Out_channel.output_string oc "because-other-thing/99\n");
-  let reloaded = Service.load (cfg ~dir ()) in
-  Alcotest.(check bool) "quarantine warned" true
-    (Service.warnings reloaded <> []);
-  Alcotest.(check (list string)) "store is cold" []
-    (List.map
-       (fun (e : Store.entry) -> e.Store.spec.Sspec.id)
-       (Store.entries (Service.store reloaded)));
-  (* The id is free again; rerunning the campaign reproduces the report. *)
-  submit_ok reloaded spec;
-  (match Service.run_until_idle reloaded with
-  | Service.Completed -> ()
-  | _ -> Alcotest.fail "cold restart did not complete");
-  Alcotest.(check bool) "report reproduced bit-for-bit" true
-    (String.equal reference
-       (read_file (Service.report_path reloaded ~id:"solo")))
+      Out_channel.output_string oc "because-other-thing/99\n")
+
+(* Replace the snapshot with one in the retired version-1 layout (no
+   streaming fields): it passes the CRC but no longer decodes, so the
+   warm start discards it. *)
+let write_v1_queue ~spec dir =
+  let module Codec = Because_recover.Codec in
+  let w = Codec.writer () in
+  Codec.int w 1;
+  Codec.list w
+    (fun w line ->
+      Codec.string w line;
+      Codec.int w 0;
+      Codec.u8 w 1;
+      Codec.list w Codec.string [];
+      Codec.list w Codec.int [])
+    [ Sspec.to_line spec ];
+  let store =
+    Because_recover.Checkpoint.open_
+      ~dir:(Filename.concat dir "queue.d")
+      ~fingerprint:"because-service-queue/1" ()
+  in
+  Because_recover.Checkpoint.save store ~key:"queue" (Codec.contents w)
+
+let test_corrupt_queue_warm_start () =
+  with_drain_reset @@ fun () ->
+  let spec = tiny_spec "solo" in
+  List.iter
+    (fun (what, corrupt, warning) ->
+      let dir = fresh_dir () in
+      let svc = Service.create (cfg ~dir ()) in
+      submit_ok svc spec;
+      (match Service.run_until_idle svc with
+      | Service.Completed -> ()
+      | _ -> Alcotest.fail "seed run did not complete");
+      let reference = read_file (Service.report_path svc ~id:"solo") in
+      corrupt dir;
+      (* The warm start must come up cold — warned, not crashed. *)
+      let reloaded = Service.load (cfg ~dir ()) in
+      Alcotest.(check bool) (what ^ ": warned") true
+        (List.exists (contains ~sub:warning) (Service.warnings reloaded));
+      Alcotest.(check (list string)) (what ^ ": store is cold") []
+        (List.map
+           (fun (e : Store.entry) -> e.Store.spec.Sspec.id)
+           (Store.entries (Service.store reloaded)));
+      (* The id is free again; rerunning the campaign reproduces the
+         report. *)
+      submit_ok reloaded spec;
+      (match Service.run_until_idle reloaded with
+      | Service.Completed -> ()
+      | _ -> Alcotest.fail (what ^ ": cold restart did not complete"));
+      Alcotest.(check bool) (what ^ ": report reproduced bit-for-bit") true
+        (String.equal reference
+           (read_file (Service.report_path reloaded ~id:"solo"))))
+    [ ("garbled manifest", garble_manifest, "quarantined");
+      ("version-1 payload", write_v1_queue ~spec, "queue snapshot v1") ]
 
 (* ------------------------------------------------------------------ *)
 
