@@ -43,7 +43,14 @@ let of_feeds ?(gaps_of = fun _ -> []) rng ~feed_of ~vantages ~noise
           feed)
       vantages
   in
-  List.sort (fun a b -> Float.compare a.export_at b.export_at) records
+  (* Sorted through an array: a merge sort over the list builds ~20 levels
+     of intermediate lists, which at this size (600 k records on the default
+     world) outlive the minor heap; three back-to-back default campaigns
+     peaked ~80 MB higher in resident memory.  Both sorts are stable, so
+     the order is the same. *)
+  let sorted = Array.of_list records in
+  Array.stable_sort (fun a b -> Float.compare a.export_at b.export_at) sorted;
+  Array.to_list sorted
 
 let of_network ?gaps_of rng net ~vantages ~noise ~campaign_end =
   of_feeds ?gaps_of rng

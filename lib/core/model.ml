@@ -56,20 +56,32 @@ let path_term t label s =
   else if t.epsilon = 0.0 then s
   else Float.log (t.epsilon +. ((1.0 -. t.epsilon) *. Float.exp s))
 
+(* ln qᵢ = log1p(−clamp pᵢ) for every node, computed once per evaluation:
+   on a campaign dataset a node lies on tens of paths, and the log was most
+   of a path visit's cost.  Each path sum then adds the same operands in
+   the same order as summing per visit. *)
+let log_q t p =
+  let n = Tomography.n_nodes t.data in
+  let lq = Array.create_float n in
+  for i = 0 to n - 1 do
+    Array.unsafe_set lq i (Float.log1p (-.clamp (Array.get p i)))
+  done;
+  lq
+
 (* [path_log_q_arr]/[path_term] spelled out in one loop: without flambda a
    float-returning call boxes its argument and result, and those two calls
    per path were most of the likelihood's allocation.  The expressions are
    kept textually identical (including [Special.log1mexp]'s branch
    structure) so the sum is bit-for-bit the composed version. *)
 let log_likelihood t p =
+  let lq = log_q t p in
   let acc = { v = 0.0 } in
   let s = { v = 0.0 } in
   for j = 0 to Tomography.n_paths t.data - 1 do
     let nodes = Tomography.path t.data j in
     s.v <- 0.0;
     for k = 0 to Array.length nodes - 1 do
-      s.v <-
-        s.v +. Float.log1p (-.clamp (Array.get p (Array.unsafe_get nodes k)))
+      s.v <- s.v +. Array.unsafe_get lq (Array.unsafe_get nodes k)
     done;
     let sv = s.v in
     let term =
@@ -97,18 +109,26 @@ let log_posterior t p = log_likelihood t p +. log_prior t p
 
 let grad_log_posterior t p =
   let n = Tomography.n_nodes t.data in
-  let g = Array.make n 0.0 in
-  for i = 0 to Array.length t.priors - 1 do
-    g.(i) <- Prior.grad_log_pdf t.priors.(i) (clamp p.(i))
+  (* Per node, once: the prior term, ln qᵢ for the path sums and qᵢ for the
+     per-visit divisions.  [q] holds clamp pᵢ until the prior has read it. *)
+  let g = Array.create_float n in
+  let lq = Array.create_float n in
+  let q = Array.create_float n in
+  for i = 0 to n - 1 do
+    Array.unsafe_set q i (clamp (Array.get p i))
+  done;
+  Prior.grad_log_pdf_into t.priors q g;
+  for i = 0 to n - 1 do
+    let x = Array.unsafe_get q i in
+    Array.unsafe_set lq i (Float.log1p (-.x));
+    Array.unsafe_set q i (1.0 -. x)
   done;
   let sacc = { v = 0.0 } in
   for j = 0 to Tomography.n_paths t.data - 1 do
     let nodes = Tomography.path t.data j in
-    (* Inline Σ ln qᵢ — same motivation and op order as [log_likelihood]. *)
     sacc.v <- 0.0;
     for k = 0 to Array.length nodes - 1 do
-      sacc.v <-
-        sacc.v +. Float.log1p (-.clamp (Array.get p (Array.unsafe_get nodes k)))
+      sacc.v <- sacc.v +. Array.unsafe_get lq (Array.unsafe_get nodes k)
     done;
     let s = sacc.v in
     if Tomography.label t.data j then begin
@@ -117,7 +137,7 @@ let grad_log_posterior t p =
       let ratio = 1.0 /. Float.expm1 (-.s) in
       for k = 0 to Array.length nodes - 1 do
         let i = Array.unsafe_get nodes k in
-        g.(i) <- g.(i) +. (ratio /. (1.0 -. clamp p.(i)))
+        g.(i) <- g.(i) +. (ratio /. Array.unsafe_get q i)
       done
     end
     else begin
@@ -132,7 +152,7 @@ let grad_log_posterior t p =
       in
       for k = 0 to Array.length nodes - 1 do
         let i = Array.unsafe_get nodes k in
-        g.(i) <- g.(i) -. (weight /. (1.0 -. clamp p.(i)))
+        g.(i) <- g.(i) -. (weight /. Array.unsafe_get q i)
       done
     end
   done;
@@ -149,7 +169,7 @@ let grad_log_posterior t p =
 let make_cache t p0 =
   let n_paths = Tomography.n_paths t.data in
   let point = Array.map clamp p0 in
-  let lq = Array.map (fun v -> Float.log1p (-.v)) point in
+  let lq = log_q t p0 in
   let s = Array.make n_paths 0.0 in
   let term = Array.make n_paths 0.0 in
   for j = 0 to n_paths - 1 do

@@ -23,6 +23,13 @@ let grad_log_pdf t p =
   | Beta { a; b } -> grad_beta ~a ~b p
   | Near_zero -> grad_beta ~a:near_zero_a ~b:near_zero_b p
 
+(* One loop over all nodes, so [grad_log_pdf] inlines into it: a call per
+   node from another module would box its argument and its result. *)
+let grad_log_pdf_into priors x g =
+  for i = 0 to Array.length priors - 1 do
+    Array.unsafe_set g i (grad_log_pdf priors.(i) x.(i))
+  done
+
 let pp fmt = function
   | Uniform -> Format.pp_print_string fmt "uniform"
   | Beta { a; b } -> Format.fprintf fmt "beta(%.2f,%.2f)" a b

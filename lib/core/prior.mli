@@ -22,4 +22,9 @@ val default : t
 val log_pdf : t -> float -> float
 val grad_log_pdf : t -> float -> float
 
+val grad_log_pdf_into : t array -> float array -> float array -> unit
+(** [grad_log_pdf_into priors x g] sets [g.(i)] to
+    [grad_log_pdf priors.(i) x.(i)] for every [i] of [priors], without
+    allocating. *)
+
 val pp : Format.formatter -> t -> unit

@@ -152,6 +152,13 @@ let run ~rng ?init ?(initial_step = 0.05) ?(leapfrog_steps = 15) ?(thin = 1)
                lp);
         ref lp
   in
+  (* Gradient at [theta], carried across iterations: an accepted
+     trajectory ends on the gradient at its endpoint, and a rejected one
+     leaves [theta] where it was, so each iteration's first half-step
+     reuses it instead of re-evaluating.  It is a pure function of [theta],
+     so computing it afresh here on resume keeps resumed chains bit-identical
+     to uninterrupted ones. *)
+  let g_theta = ref (grad theta) in
   let snapshot () =
     {
       s_iter = !iter_idx;
@@ -193,7 +200,7 @@ let run ~rng ?init ?(initial_step = 0.05) ?(leapfrog_steps = 15) ?(thin = 1)
     Array.blit momentum 0 m 0 dim;
     let eps = !step in
     (* Leapfrog: half momentum, full position, ..., half momentum. *)
-    let g = ref (grad q) in
+    let g = ref !g_theta in
     for _ = 1 to leapfrog_steps do
       for i = 0 to dim - 1 do
         m.(i) <- m.(i) +. (0.5 *. eps *. !g.(i))
@@ -216,6 +223,7 @@ let run ~rng ?init ?(initial_step = 0.05) ?(leapfrog_steps = 15) ?(thin = 1)
     if not in_burn_in then incr proposed_post;
     if accept then begin
       Array.blit q 0 theta 0 dim;
+      g_theta := !g;
       current_lp := lp1;
       if in_burn_in then incr accept_window else incr accepted_post
     end;

@@ -50,8 +50,10 @@ val run :
 (** [run ~rng ~n_samples ~burn_in target] requires [target.grad_log_density].
     [leapfrog_steps] defaults to 15 and must match the original run when
     resuming.  The step size adapts towards a 0.75
-    acceptance rate during burn-in.  [resume]/[control] follow the
-    {!Metropolis.run_single_site} contract.  Raises [Invalid_argument] if
+    acceptance rate during burn-in.  A fresh run of [N] iterations
+    evaluates the gradient [1 + N × leapfrog_steps] times: each trajectory
+    starts from the gradient the previous one left at the current point.
+    [resume]/[control] follow the {!Metropolis.run_single_site} contract.  Raises [Invalid_argument] if
     the target has no gradient, [thin <= 0], or a [resume] state has the
     wrong dimension.
     @raise Failure when the log-density is non-finite at the initial point

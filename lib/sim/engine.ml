@@ -19,20 +19,28 @@ let pending t = Heap.size t.heap
 let processed t = t.processed
 let max_pending t = t.max_pending
 
+(* Handle the earliest event, whose [time] the caller read: reading the
+   time and taking the payload directly builds no option or tuple per
+   event. *)
+let dispatch t ~handler time =
+  let payload = Heap.take t.heap in
+  t.clock <- time;
+  t.processed <- t.processed + 1;
+  handler ~now:time payload
+
 let step t ~handler =
-  match Heap.pop t.heap with
-  | None -> false
-  | Some (time, payload) ->
-      t.clock <- time;
-      t.processed <- t.processed + 1;
-      handler ~now:time payload;
-      true
+  if Heap.is_empty t.heap then false
+  else begin
+    dispatch t ~handler (Heap.top_time t.heap);
+    true
+  end
 
 let run t ~until ~handler =
   let continue = ref true in
   while !continue do
-    match Heap.peek_time t.heap with
-    | None -> continue := false
-    | Some time when time > until -> continue := false
-    | Some _ -> ignore (step t ~handler)
+    if Heap.is_empty t.heap then continue := false
+    else begin
+      let time = Heap.top_time t.heap in
+      if time > until then continue := false else dispatch t ~handler time
+    end
   done

@@ -11,7 +11,9 @@ val size : 'a t -> int
 
 val push : 'a t -> time:float -> 'a -> unit
 
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the earliest event. *)
+val top_time : 'a t -> float
+(** Time of the earliest event.  @raise Invalid_argument when empty. *)
 
-val peek_time : 'a t -> float option
+val take : 'a t -> 'a
+(** Remove the earliest event and return its payload; with {!top_time}
+    this pops without allocating.  @raise Invalid_argument when empty. *)

@@ -13,31 +13,39 @@
      them.  Spawning a domain costs a stop-the-world synchronisation of
      every running domain, so spawn-per-call made repeated small fan-outs
      (per-interval inference, per-campaign simulation) pay that tax over
-     and over.  Pool workers also run with a larger minor heap and a lazier
-     major GC (see [tune_worker_gc]) — minor collections are stop-the-world
-     across *all* domains in OCaml 5, so fewer, bigger collections is what
-     makes chain-parallel sampling scale.
+     and over.
    - a *spawn fallback* used when the pool is already busy (a nested
      [run_tasks] from inside a pool task, or concurrent submitters such as
      service-mode campaign workers): fresh domains per call, exactly the
      historical behaviour.  This keeps every caller deadlock-free without
      serialising independent submitters.
 
+   Every domain that runs tasks of a batch — workers and the submitter —
+   runs with a larger minor heap and a lazier major GC (see
+   [tune_domain_gc]): minor collections are stop-the-world across *all*
+   domains in OCaml 5, so fewer, bigger collections is what makes
+   chain-parallel sampling scale.
+
    Both paths produce bit-identical results: scheduling only decides *who*
    runs a task, never *what* it computes, and results land in task order. *)
 
-(* Larger per-domain minor heap (32 MB) + lazier major GC on pool workers.
-   Minor collections synchronise every domain, so the default 256k-word
-   nursery makes allocation-heavy samplers serialize on GC long before they
-   saturate the cores. *)
-let tune_worker_gc () =
+(* Larger per-domain minor heap (32 MB) + lazier major GC on every domain
+   that runs tasks of a parallel batch, the submitter included.  Minor
+   collections synchronise every domain, so one domain left on the default
+   256k-word nursery sets the pace for all of them and promotes whatever is
+   live at each of its collections: a default-world campaign runs ~2000
+   minor collections and promotes ~680 MB with an untuned submitter, ~160
+   and ~240 MB with a tuned one.  A no-op once the calling domain is
+   tuned. *)
+let tune_domain_gc () =
   let g = Gc.get () in
-  Gc.set
-    {
-      g with
-      Gc.minor_heap_size = max g.Gc.minor_heap_size (1 lsl 22);
-      space_overhead = max g.Gc.space_overhead 200;
-    }
+  if g.Gc.minor_heap_size < 1 lsl 22 || g.Gc.space_overhead < 200 then
+    Gc.set
+      {
+        g with
+        Gc.minor_heap_size = max g.Gc.minor_heap_size (1 lsl 22);
+        space_overhead = max g.Gc.space_overhead 200;
+      }
 
 (* One submitted fan-out.  [run i] executes task [i] and never raises (task
    exceptions are captured inside the closure); [completed] counts tasks
@@ -90,7 +98,7 @@ let drain pool b =
    published batch at most once (tracked by physical equality on the batch
    record), respecting its seat budget. *)
 let worker pool () =
-  tune_worker_gc ();
+  tune_domain_gc ();
   let last = ref None in
   Mutex.lock pool.lock;
   let rec loop () =
@@ -203,8 +211,8 @@ let run_spawn ~workers tasks results =
   let failed : (exn * Printexc.raw_backtrace) option Atomic.t =
     Atomic.make None
   in
-  let worker ~tuned () =
-    if tuned then tune_worker_gc ();
+  let worker () =
+    tune_domain_gc ();
     let rec loop () =
       if Atomic.get failed = None then begin
         let i = Atomic.fetch_and_add next 1 in
@@ -221,9 +229,9 @@ let run_spawn ~workers tasks results =
     loop ()
   in
   let domains =
-    List.init (workers - 1) (fun _ -> Domain.spawn (worker ~tuned:true))
+    List.init (workers - 1) (fun _ -> Domain.spawn worker)
   in
-  worker ~tuned:false ();
+  worker ();
   List.iter Domain.join domains;
   match Atomic.get failed with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
@@ -236,14 +244,17 @@ let run pool ~jobs tasks =
   let workers = min jobs n in
   if workers <= 1 then
     Array.iteri (fun i task -> results.(i) <- Some (task ())) tasks
-  else if Mutex.try_lock pool.submit then
+  else begin
+    tune_domain_gc ();
     (* [try_lock] rather than [lock]: a nested call from inside a pool task
        would deadlock waiting for its own batch, and independent concurrent
        submitters shouldn't serialise — both take the spawn path instead. *)
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock pool.submit)
-      (fun () -> run_pooled pool ~workers tasks results)
-  else run_spawn ~workers tasks results;
+    if Mutex.try_lock pool.submit then
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock pool.submit)
+        (fun () -> run_pooled pool ~workers tasks results)
+    else run_spawn ~workers tasks results
+  end;
   Array.map Option.get results
 
 let run_tasks ~jobs tasks =

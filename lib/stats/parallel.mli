@@ -5,13 +5,17 @@
     independent (each owns its mutable state; shared inputs are read-only)
     and at most [jobs] run at a time.
 
-    Worker domains are {e persistent}: spawned lazily on first use, tuned
-    for sampler workloads (32 MB minor heap, lazier major GC), then parked
-    and reused across batches — spawning a domain forces a stop-the-world
-    synchronisation, so per-call spawning made repeated fan-outs pay that
-    cost every interval.  When a pool is already mid-batch (a nested call,
+    Worker domains are {e persistent}: spawned lazily on first use, then
+    parked and reused across batches — spawning a domain forces a
+    stop-the-world synchronisation, so per-call spawning made repeated
+    fan-outs pay that cost every interval.  When a pool is already mid-batch (a nested call,
     or a concurrent submitter), execution transparently falls back to
-    spawn-per-call.  Which path runs never affects the results. *)
+    spawn-per-call.  Which path runs never affects the results.
+
+    Every domain that runs tasks of a batch of two or more, the submitting
+    domain included, is tuned once for allocation-heavy work: a 32 MB minor
+    heap and [space_overhead] of at least 200.  The submitter keeps that
+    tuning after the call returns. *)
 
 type pool
 (** A persistent set of worker domains plus the submission protocol. *)

@@ -257,6 +257,104 @@ let qcheck_gradient_matches_fd =
       | Ok () -> true
       | Error _ -> false)
 
+(* Per-visit reference kernels: every path visit recomputes
+   log1p(−clamp pᵢ), and every gradient visit divides by 1 − clamp pᵢ.
+   [Model] computes both once per node and must match these to the bit. *)
+let reference_clamp p =
+  let eps = 1e-9 in
+  Float.max eps (Float.min (1.0 -. eps) p)
+
+let reference_path_log_q p nodes =
+  Array.fold_left
+    (fun s i -> s +. Float.log1p (-.reference_clamp p.(i)))
+    0.0 nodes
+
+let reference_log_likelihood data ~epsilon p =
+  let acc = ref 0.0 in
+  for j = 0 to Tomography.n_paths data - 1 do
+    let s = reference_path_log_q p (Tomography.path data j) in
+    let term =
+      if Tomography.label data j then
+        (if epsilon = 0.0 then 0.0 else Float.log1p (-.epsilon))
+        +. Because_stats.Special.log1mexp s
+      else if epsilon = 0.0 then s
+      else Float.log (epsilon +. ((1.0 -. epsilon) *. Float.exp s))
+    in
+    acc := !acc +. term
+  done;
+  !acc
+
+let reference_gradient data ~epsilon ~prior_of p =
+  let g =
+    Array.init (Tomography.n_nodes data) (fun i ->
+        Prior.grad_log_pdf (prior_of i) (reference_clamp p.(i)))
+  in
+  for j = 0 to Tomography.n_paths data - 1 do
+    let nodes = Tomography.path data j in
+    let s = reference_path_log_q p nodes in
+    if Tomography.label data j then begin
+      let ratio = 1.0 /. Float.expm1 (-.s) in
+      Array.iter
+        (fun i -> g.(i) <- g.(i) +. (ratio /. (1.0 -. reference_clamp p.(i))))
+        nodes
+    end
+    else begin
+      let weight =
+        if epsilon = 0.0 then 1.0
+        else begin
+          let q_path = Float.exp s in
+          (1.0 -. epsilon) *. q_path
+          /. (epsilon +. ((1.0 -. epsilon) *. q_path))
+        end
+      in
+      Array.iter
+        (fun i -> g.(i) <- g.(i) -. (weight /. (1.0 -. reference_clamp p.(i))))
+        nodes
+    end
+  done;
+  g
+
+let qcheck_kernels_match_per_visit_reference =
+  QCheck.Test.make ~name:"kernels match the per-visit reference bit for bit"
+    ~count:80 QCheck.small_int (fun seed ->
+      let rng = Rng.create (seed + 900) in
+      let nodes = 2 + Rng.int rng 10 in
+      (* Paths may repeat a node; the first one always does. *)
+      let observations =
+        (path [ 1; 2; 1 ], Rng.bool rng)
+        :: List.init
+             (1 + Rng.int rng 25)
+             (fun _ ->
+               ( path
+                   (List.init (1 + Rng.int rng 5) (fun _ ->
+                        1 + Rng.int rng nodes)),
+                 Rng.bool rng ))
+      in
+      let data = Tomography.of_observations observations in
+      let epsilon = if seed mod 2 = 0 then 0.0 else 0.08 in
+      let node_priors = [ (asn 1, Prior.Near_zero); (asn 2, Prior.Uniform) ] in
+      let prior = Prior.Beta { a = 2.0; b = 3.0 } in
+      let model =
+        Model.create ~prior ~node_priors ~false_negative_rate:epsilon data
+      in
+      let prior_of i =
+        Option.value ~default:prior
+          (List.assoc_opt (Tomography.node data i) node_priors)
+      in
+      (* 0 and 1, values beyond the clamp on both sides, and interior ones. *)
+      let special = [| 0.0; 1.0; -0.4; 1.6; 1e-12; 1.0 -. 1e-12 |] in
+      let p =
+        Array.init (Tomography.n_nodes data) (fun _ ->
+            if Rng.bool rng then special.(Rng.int rng (Array.length special))
+            else Rng.float rng)
+      in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      same (Model.log_likelihood model p)
+        (reference_log_likelihood data ~epsilon p)
+      && Array.for_all2 same
+           (Model.grad_log_posterior model p)
+           (reference_gradient data ~epsilon ~prior_of p))
+
 let qcheck_likelihood_is_log_probability =
   QCheck.Test.make ~name:"log likelihood never exceeds 0" ~count:80
     QCheck.small_int (fun seed ->
@@ -306,5 +404,6 @@ let suite =
       Alcotest.test_case "cached target statistically equivalent" `Slow
         test_cached_target_statistically_equivalent;
       QCheck_alcotest.to_alcotest qcheck_gradient_matches_fd;
+      QCheck_alcotest.to_alcotest qcheck_kernels_match_per_visit_reference;
       QCheck_alcotest.to_alcotest qcheck_likelihood_monotone_on_positive;
     ] )

@@ -156,6 +156,47 @@ let test_hmc_requires_gradient () =
     (Invalid_argument "Hmc.run: target has no gradient") (fun () ->
       ignore (Hmc.run ~rng ~n_samples:10 ~burn_in:5 no_grad))
 
+(* [target] with a gradient that counts its calls. *)
+let counting_grad target =
+  let calls = ref 0 in
+  let grad = Option.get target.Target.grad_log_density in
+  ( { target with
+      Target.grad_log_density =
+        Some
+          (fun p ->
+            incr calls;
+            grad p) },
+    calls )
+
+let test_hmc_gradient_count () =
+  (* Each trajectory starts from the gradient the previous one left at the
+     current point, so N iterations of L leapfrog steps cost 1 + N·L
+     gradients, on either support. *)
+  let n_samples = 20 and burn_in = 10 and leapfrog_steps = 7 in
+  let iters = n_samples + burn_in in
+  List.iter
+    (fun (name, target) ->
+      let target, calls = counting_grad target in
+      ignore
+        (Hmc.run ~rng:(Rng.create 5) ~leapfrog_steps ~n_samples ~burn_in
+           target);
+      Alcotest.(check int) name (1 + (iters * leapfrog_steps)) !calls)
+    [ ("unbounded", gaussian_target); ("unit interval", beta_target) ];
+  (* A resumed run recomputes the carried gradient once, then L per
+     remaining iteration. *)
+  let saved = ref None in
+  ignore
+    (Hmc.run ~rng:(Rng.create 5) ~leapfrog_steps ~n_samples ~burn_in
+       ~control:(fun ~sweep ~state -> if sweep = 12 then saved := Some (state ()))
+       beta_target);
+  let target, calls = counting_grad beta_target in
+  ignore
+    (Hmc.run ~rng:(Rng.create 5) ~leapfrog_steps ~n_samples ~burn_in
+       ?resume:!saved target);
+  Alcotest.(check int) "resumed at sweep 12"
+    (1 + ((iters - 12) * leapfrog_steps))
+    !calls
+
 let test_sigmoid_logit () =
   close "sigmoid 0" 0.5 (Hmc.sigmoid 0.0) 1e-12;
   close "roundtrip" 0.3 (Hmc.sigmoid (Hmc.logit 0.3)) 1e-9;
@@ -527,6 +568,7 @@ let suite =
         test_gibbs_rejects_unbounded;
       Alcotest.test_case "HMC requires gradient" `Quick
         test_hmc_requires_gradient;
+      Alcotest.test_case "HMC gradient count" `Quick test_hmc_gradient_count;
       Alcotest.test_case "sigmoid/logit" `Quick test_sigmoid_logit;
       Alcotest.test_case "reflect_unit" `Quick test_reflect_unit;
       QCheck_alcotest.to_alcotest qcheck_reflect_in_unit;

@@ -8,21 +8,16 @@ let test_heap_orders () =
   let h = Heap.create () in
   List.iter (fun t -> Heap.push h ~time:t t) [ 3.0; 1.0; 2.0; 0.5; 2.5 ];
   let popped = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some (_, v) ->
-        popped := v :: !popped;
-        drain ()
-    | None -> ()
-  in
-  drain ();
+  while not (Heap.is_empty h) do
+    popped := Heap.take h :: !popped
+  done;
   Alcotest.(check (list (float 0.0))) "sorted" [ 0.5; 1.0; 2.0; 2.5; 3.0 ]
     (List.rev !popped)
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
   List.iter (fun v -> Heap.push h ~time:1.0 v) [ "a"; "b"; "c" ];
-  let order = List.init 3 (fun _ -> snd (Option.get (Heap.pop h))) in
+  let order = List.init 3 (fun _ -> Heap.take h) in
   Alcotest.(check (list string)) "insertion order on ties" [ "a"; "b"; "c" ] order
 
 let test_heap_size_empty () =
@@ -30,7 +25,10 @@ let test_heap_size_empty () =
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
   Heap.push h ~time:1.0 ();
   Alcotest.(check int) "size" 1 (Heap.size h);
-  Alcotest.(check (option (float 0.0))) "peek" (Some 1.0) (Heap.peek_time h)
+  Alcotest.(check (float 0.0)) "top time" 1.0 (Heap.top_time h);
+  Heap.take h;
+  Alcotest.check_raises "take on empty"
+    (Invalid_argument "Heap.take: empty heap") (fun () -> Heap.take h)
 
 let qcheck_heap_sorted =
   QCheck.Test.make ~name:"heap pops in time order" ~count:200
@@ -39,12 +37,49 @@ let qcheck_heap_sorted =
       let h = Heap.create () in
       List.iter (fun t -> Heap.push h ~time:t t) times;
       let rec drain acc =
-        match Heap.pop h with
-        | Some (t, _) -> drain (t :: acc)
-        | None -> List.rev acc
+        if Heap.is_empty h then List.rev acc
+        else begin
+          let t = Heap.top_time h in
+          ignore (Heap.take h);
+          drain (t :: acc)
+        end
       in
       let out = drain [] in
       out = List.sort Float.compare times)
+
+(* Few distinct times, so most events tie; pops interleave with pushes.
+   The heap must pop exactly a stable sort by time of what was pushed. *)
+let qcheck_heap_stable_interleaved =
+  QCheck.Test.make ~name:"heap pops a stable sort under interleaved pops"
+    ~count:200
+    QCheck.(list_of_size Gen.(int_range 0 200) (pair (int_range 0 9) bool))
+    (fun ops ->
+      let h = Heap.create () in
+      let pending = ref [] and popped = ref [] and expected = ref [] in
+      let pop () =
+        (* [pending] is newest first, so the stable minimum is the last
+           element of the earliest time. *)
+        let time = Heap.top_time h in
+        let first =
+          List.fold_left
+            (fun acc ((t, _) as e) -> if t <= fst acc then e else acc)
+            (List.hd !pending) !pending
+        in
+        pending := List.filter (fun (_, k) -> k <> snd first) !pending;
+        expected := first :: !expected;
+        popped := (time, Heap.take h) :: !popped
+      in
+      List.iteri
+        (fun k (t, pop_after) ->
+          let e = (float_of_int t, k) in
+          Heap.push h ~time:(fst e) (snd e);
+          pending := e :: !pending;
+          if pop_after then pop ())
+        ops;
+      while not (Heap.is_empty h) do
+        pop ()
+      done;
+      !popped = !expected)
 
 let test_engine_runs_in_order () =
   let e = Engine.create () in
@@ -195,6 +230,7 @@ let suite =
       Alcotest.test_case "heap FIFO ties" `Quick test_heap_fifo_ties;
       Alcotest.test_case "heap size/empty" `Quick test_heap_size_empty;
       QCheck_alcotest.to_alcotest qcheck_heap_sorted;
+      QCheck_alcotest.to_alcotest qcheck_heap_stable_interleaved;
       Alcotest.test_case "engine order" `Quick test_engine_runs_in_order;
       Alcotest.test_case "engine until" `Quick test_engine_until;
       Alcotest.test_case "engine cascade" `Quick test_engine_handler_schedules;

@@ -230,6 +230,14 @@ let test_parallel_dedicated_pool () =
   Alcotest.(check bool) "never exceeds workers" true
     (Parallel.worker_count pool <= 2)
 
+let test_parallel_tunes_submitter () =
+  (* Minor collections stop every domain, so a batch runs at the pace of
+     its smallest nursery: the submitting domain is tuned like the workers
+     and stays tuned. *)
+  ignore (Parallel.run_tasks ~jobs:2 (squares 4));
+  Alcotest.(check bool) "submitter minor heap >= 4M words" true
+    ((Gc.get ()).Gc.minor_heap_size >= 1 lsl 22)
+
 exception Task_boom of int
 
 let test_parallel_exception () =
@@ -326,4 +334,6 @@ let suite =
       Alcotest.test_case "parallel invalid args" `Quick test_parallel_invalid;
       Alcotest.test_case "parallel empty/single" `Quick
         test_parallel_empty_and_single;
+      Alcotest.test_case "parallel tunes submitter" `Quick
+        test_parallel_tunes_submitter;
     ] )
