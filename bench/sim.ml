@@ -9,7 +9,10 @@
      sequential run);
    - the router hot path in isolation: ns per [handle_update] for the
      flattened router against [Baseline_router], the pre-flattening
-     tuple-keyed implementation kept as a measurement reference.
+     tuple-keyed implementation kept as a measurement reference;
+   - the per-event cost of the bench world's Beacon-only campaign replay
+     at 4 shards (the [campaign_default] sim shape): ns/event on 2 jobs
+     and minor words/event, with the machine's core count.
 
    Results go to stdout and BENCH_sim.json (CI artifact, like
    BENCH_kernels.json). *)
@@ -94,8 +97,9 @@ let build_script world (p : Sc.Campaign.params) ~churn_prefixes =
    predecessors grew. *)
 (* [make_checkpoint] is a thunk so each rep gets a fresh store — otherwise
    rep 2 would find rep 1's saved shards and resume instead of simulate. *)
-let time_run world ~jobs ?(telemetry = Because_telemetry.Registry.disabled)
-    ?make_checkpoint ~until script =
+let time_run world ~jobs ?shards
+    ?(telemetry = Because_telemetry.Registry.disabled) ?make_checkpoint ~until
+    script =
   let reps = if Ctx.quick then 2 else 3 in
   let best = ref infinity in
   let result = ref None in
@@ -104,7 +108,7 @@ let time_run world ~jobs ?(telemetry = Because_telemetry.Registry.disabled)
     Gc.compact ();
     let t0 = Unix.gettimeofday () in
     let r =
-      Sharded.run ~telemetry ~jobs ?checkpoint
+      Sharded.run ~telemetry ~jobs ?shards ?checkpoint
         ~configs:(Sc.World.router_configs world)
         ~delay:(Sc.World.delay world)
         ~monitored:(Sc.World.monitored world)
@@ -213,6 +217,15 @@ type row =
       events_per_sec : float;
     }
   | Hot_path of { name : string; ns_per_update : float }
+  | Per_event of {
+      name : string;
+      jobs : int;
+      shards : int;
+      cores : int;
+      events : int;
+      ns_per_event : float;
+      minor_words_per_event : float;
+    }
 
 let write_json path rows =
   let oc = open_out path in
@@ -236,7 +249,16 @@ let write_json path rows =
               Printf.fprintf oc
                 "    { \"name\": \"%s\", \"kind\": \"router\", \
                  \"ns_per_update\": %.2f }"
-                (Manifest.json_escape name) ns_per_update);
+                (Manifest.json_escape name) ns_per_update
+          | Per_event
+              { name; jobs; shards; cores; events; ns_per_event;
+                minor_words_per_event } ->
+              Printf.fprintf oc
+                "    { \"name\": \"%s\", \"kind\": \"per_event\", \"jobs\": \
+                 %d, \"shards\": %d, \"cores\": %d, \"events\": %d, \
+                 \"ns_per_event\": %.1f, \"minor_words_per_event\": %.2f }"
+                (Manifest.json_escape name) jobs shards cores events
+                ns_per_event minor_words_per_event);
           output_string oc (if k = List.length rows - 1 then "\n" else ",\n"))
         rows;
       output_string oc "  ]\n}\n")
@@ -332,6 +354,48 @@ let run () =
       Printf.printf "%-32s %+10.2f%%\n" "sim checkpoint overhead"
         (((off.events_per_sec /. on.events_per_sec) -. 1.0) *. 100.0)
   | _ -> ());
+  (* The campaign_default sim shape: Beacon prefixes only (no background
+     churn), 4 shards on 2 jobs.  Wall time is best-of-N; minor words come
+     from a jobs=1 replay of the same 4 shards, because [Gc.minor_words]
+     counts only the calling domain and the shards allocate the same words
+     wherever they run. *)
+  let per_event_row =
+    let beacon_script, beacon_end =
+      build_script world params ~churn_prefixes:0
+    in
+    let shards = 4 in
+    let r, seconds =
+      time_run world ~jobs:2 ~shards ~until:beacon_end beacon_script
+    in
+    let events = r.Sharded.events in
+    let words =
+      let w0 = Gc.minor_words () in
+      ignore
+        (Sharded.run ~jobs:1 ~shards
+           ~configs:(Sc.World.router_configs world)
+           ~delay:(Sc.World.delay world)
+           ~monitored:(Sc.World.monitored world)
+           ~until:beacon_end beacon_script);
+      Gc.minor_words () -. w0
+    in
+    let cores = Domain.recommended_domain_count () in
+    let ns_per_event = seconds *. 1e9 /. float_of_int (max 1 events) in
+    let minor_words_per_event = words /. float_of_int (max 1 events) in
+    Printf.printf
+      "beacon replay, %d shards on 2 jobs (%d cores): %d events, %.0f \
+       ns/event, %.1f minor words/event\n%!"
+      shards cores events ns_per_event minor_words_per_event;
+    Per_event
+      {
+        name = "beacon replay per event (4 shards, jobs=2)";
+        jobs = 2;
+        shards;
+        cores;
+        events;
+        ns_per_event;
+        minor_words_per_event;
+      }
+  in
   Ctx.section "Router hot path (flattened vs baseline)";
   let cfg =
     Bechamel.Benchmark.cfg ~limit:2000 ~quota:(Bechamel.Time.second 0.5)
@@ -360,6 +424,8 @@ let run () =
       Printf.printf "%-32s %11.2fx\n" "router flattening speedup"
         (base.ns_per_update /. flat.ns_per_update)
   | _ -> ());
-  let rows = throughput @ [ telemetry_row; checkpoint_row ] @ hot_rows in
+  let rows =
+    throughput @ [ telemetry_row; checkpoint_row; per_event_row ] @ hot_rows
+  in
   write_json "BENCH_sim.json" rows;
   Printf.printf "wrote BENCH_sim.json (%d rows)\n" (List.length rows)

@@ -36,9 +36,7 @@ type mrai_state = {
   mutable pending : bool;      (* a flush timer is armed *)
 }
 
-(* Monomorphic prefix-keyed tables: every per-session RIB structure is held
-   per neighbor, so the former polymorphic (Asn.t * Prefix.t) lookups become
-   a dense array index plus one monomorphic prefix hash. *)
+(* Monomorphic prefix-keyed table: the router's only per-prefix lookup. *)
 module Ptbl = Hashtbl.Make (struct
   type t = Prefix.t
 
@@ -58,18 +56,37 @@ let rel_index = function
   | Policy.Peer -> 1
   | Policy.Provider -> 2
 
-(* One neighbor session, flattened: the static config plus every per-session
-   table and the precomputed policy decisions that used to be recomputed per
-   update. *)
+(* One neighbor session's static config plus the precomputed policy
+   decisions that used to be recomputed per update. *)
 type neighbor_state = {
   nb : neighbor;
   local_pref : int;                       (* Policy.local_pref nb.relationship *)
   damps : bool;                           (* RFD applies on this session *)
   export_from : bool array;               (* learned relationship -> export ok *)
-  rib_in : rib_in_entry Ptbl.t;
-  rfd : Rfd.t Ptbl.t;
-  adj_out : Update.t Ptbl.t;              (* last update sent *)
-  mrai : mrai_state Ptbl.t;
+}
+
+(* Absent-entry sentinels, compared physically: the per-neighbor columns
+   below are plain arrays, so "no entry" costs no option box. *)
+let no_route = { in_path = Apath.empty; in_aggregator = None }
+let no_update = Update.Withdraw { prefix = Prefix.make 0l 0 }
+
+(* Never mutated: [mrai_state_of] swaps in a fresh record first. *)
+let no_gate = { gate_until = 0.0; pending = false }
+
+(* Everything the router keeps about one prefix.  The per-session columns
+   are indexed by the dense neighbor id, so one prefix lookup per event
+   serves the whole decision process and every adj-RIB-out sync.  The RFD
+   and MRAI columns are allocated on first use: most routers never damp,
+   and a router without MRAI never gates. *)
+type slot = {
+  mutable origin : best option;           (* Some (Origin _) iff originated *)
+  mutable loc_rib : best option;
+  withdraw : Update.t;                    (* Withdraw for this prefix, shared *)
+  mutable last_feed : Update.t;           (* no_update: nothing observed *)
+  rib_in : rib_in_entry array;            (* no_route: nothing heard *)
+  adj_out : Update.t array;               (* last update sent; no_update: none *)
+  mutable rfd : Rfd.t option array;       (* [||] until the first damped event *)
+  mutable mrai : mrai_state array;        (* [||] until the first MRAI gate *)
 }
 
 (* Always-on tallies for the rare RFD state transitions; a couple of int
@@ -91,9 +108,7 @@ type t = {
   cfg : config;
   nstates : neighbor_state array;         (* in config order *)
   index_of : int Atbl.t;                  (* neighbor ASN -> nstates index *)
-  originated : Update.aggregator option Ptbl.t;
-  loc_rib : best Ptbl.t;
-  last_feed : Update.t Ptbl.t;
+  slots : slot Ptbl.t;
   stats : stats;
 }
 
@@ -118,15 +133,6 @@ let create cfg =
             Policy.export_ok ~learned_from:(Some learned)
               ~towards:nb.relationship)
           [| Policy.Customer; Policy.Peer; Policy.Provider |];
-      (* Tables start tiny and grow with the prefixes actually heard on the
-         session: at Internet scale most of a router's sessions carry a
-         small slice of the prefix universe, and a 10k-AS world holds
-         ~4 tables x ~40k sessions — pre-sizing for the worst case would
-         cost hundreds of megabytes before the first update flows. *)
-      rib_in = Ptbl.create 8;
-      rfd = Ptbl.create 4;
-      adj_out = Ptbl.create 8;
-      mrai = Ptbl.create 8;
     }
   in
   let nstates =
@@ -138,9 +144,10 @@ let create cfg =
     cfg;
     nstates;
     index_of;
-    originated = Ptbl.create 4;
-    loc_rib = Ptbl.create 8;
-    last_feed = Ptbl.create 8;
+    (* Starts tiny and grows with the prefixes actually heard: at Internet
+       scale pre-sizing for the whole prefix universe would cost memory
+       before the first update flows. *)
+    slots = Ptbl.create 8;
     stats = { rfd_suppressions = 0; rfd_releases = 0 };
   }
 
@@ -149,36 +156,59 @@ let config t = t.cfg
 let stats t = t.stats
 
 let table_sizes t =
-  let per_neighbor f =
-    Array.fold_left (fun acc ns -> acc + f ns) 0 t.nstates
+  let count f = Ptbl.fold (fun _ slot acc -> acc + f slot) t.slots 0 in
+  let present absent column =
+    Array.fold_left (fun acc e -> if e == absent then acc else acc + 1) 0 column
   in
   {
-    rib_in_entries = per_neighbor (fun ns -> Ptbl.length ns.rib_in);
-    rfd_states = per_neighbor (fun ns -> Ptbl.length ns.rfd);
-    adj_out_entries = per_neighbor (fun ns -> Ptbl.length ns.adj_out);
-    mrai_states = per_neighbor (fun ns -> Ptbl.length ns.mrai);
-    loc_rib_entries = Ptbl.length t.loc_rib;
+    rib_in_entries = count (fun s -> present no_route s.rib_in);
+    rfd_states = count (fun s -> present None s.rfd);
+    adj_out_entries = count (fun s -> present no_update s.adj_out);
+    mrai_states = count (fun s -> present no_gate s.mrai);
+    loc_rib_entries = count (fun s -> if s.loc_rib == None then 0 else 1);
   }
 
-let state_exn t asn_ =
+let index_exn t asn_ =
   match Atbl.find_opt t.index_of asn_ with
-  | Some i -> t.nstates.(i)
+  | Some i -> i
   | None ->
       invalid_arg
         (Printf.sprintf "Router %s: %s is not a neighbor"
            (Asn.to_string t.cfg.asn) (Asn.to_string asn_))
 
-let rfd_state t ~neighbor ~prefix =
-  match Atbl.find_opt t.index_of neighbor with
-  | None -> None
-  | Some i -> Ptbl.find_opt t.nstates.(i).rfd prefix
+let slot_of t prefix =
+  match Ptbl.find_opt t.slots prefix with
+  | Some slot -> slot
+  | None ->
+      let n = Array.length t.nstates in
+      let slot =
+        {
+          origin = None;
+          loc_rib = None;
+          withdraw = Update.Withdraw { prefix };
+          last_feed = no_update;
+          rib_in = Array.make n no_route;
+          adj_out = Array.make n no_update;
+          rfd = [||];
+          mrai = [||];
+        }
+      in
+      Ptbl.replace t.slots prefix slot;
+      slot
 
-let rfd_state_ensure ns prefix params =
-  match Ptbl.find_opt ns.rfd prefix with
+let rfd_state t ~neighbor ~prefix =
+  match (Atbl.find_opt t.index_of neighbor, Ptbl.find_opt t.slots prefix) with
+  | Some i, Some slot when Array.length slot.rfd > 0 -> slot.rfd.(i)
+  | _ -> None
+
+let rfd_state_ensure t slot i =
+  if Array.length slot.rfd = 0 then
+    slot.rfd <- Array.make (Array.length t.nstates) None;
+  match slot.rfd.(i) with
   | Some s -> s
   | None ->
-      let s = Rfd.create params in
-      Ptbl.replace ns.rfd prefix s;
+      let s = Rfd.create t.cfg.rfd_params in
+      slot.rfd.(i) <- Some s;
       s
 
 exception Found_suppressed
@@ -187,16 +217,22 @@ let is_suppressing t ~now =
   (* Early exit on the first suppressed entry instead of folding over every
      RFD record of every session. *)
   try
-    Array.iter
-      (fun ns ->
-        Ptbl.iter
-          (fun _ s -> if Rfd.suppressed s ~now then raise_notrace Found_suppressed)
-          ns.rfd)
-      t.nstates;
+    Ptbl.iter
+      (fun _ slot ->
+        Array.iter
+          (function
+            | Some s when Rfd.suppressed s ~now ->
+                raise_notrace Found_suppressed
+            | Some _ | None -> ())
+          slot.rfd)
+      t.slots;
     false
   with Found_suppressed -> true
 
-let best_route t prefix = Ptbl.find_opt t.loc_rib prefix
+let best_route t prefix =
+  match Ptbl.find_opt t.slots prefix with
+  | Some slot -> slot.loc_rib
+  | None -> None
 
 (* ------------------------------------------------------------------ *)
 (* Decision process                                                     *)
@@ -210,56 +246,58 @@ let best_equal a b =
       && Update.aggregator_equal x.aggregator y.aggregator
   | Origin _, Via _ | Via _, Origin _ -> false
 
-let usable ns ~now prefix =
-  match Ptbl.find_opt ns.rib_in prefix with
-  | None -> None
-  | Some entry -> (
-      match Ptbl.find_opt ns.rfd prefix with
-      | Some s when Rfd.suppressed s ~now -> None
-      | Some _ | None -> Some entry)
+(* A session's route counts unless RFD suppresses it.  [Rfd.suppressed]
+   writes the decayed penalty back, so it is asked exactly when a route and
+   a damping state both exist, in neighbor order. *)
+let usable slot i ~now =
+  slot.rib_in.(i) != no_route
+  && (Array.length slot.rfd = 0
+     ||
+     match slot.rfd.(i) with
+     | Some s -> not (Rfd.suppressed s ~now)
+     | None -> true)
 
 (* Gao–Rexford selection over the dense neighbor array: highest local-pref,
    then shortest path (O(1) via the interned length), then lowest ASN. *)
-let decide t ~now prefix =
-  match Ptbl.find_opt t.originated prefix with
-  | Some aggregator -> Some (Origin aggregator)
+let decide t ~now slot =
+  match slot.origin with
+  | Some _ as origin -> origin
   | None ->
-      let winner = ref None in
+      let winner = ref (-1) in
       let w_pref = ref min_int and w_len = ref max_int in
-      let w_asn = ref Asn.(of_int 0) in
-      Array.iter
-        (fun ns ->
-          match usable ns ~now prefix with
-          | None -> ()
-          | Some entry ->
-              let pref = ns.local_pref in
-              let len = Apath.length entry.in_path in
-              let better =
-                match !winner with
-                | None -> true
-                | Some _ ->
-                    if pref <> !w_pref then pref > !w_pref
-                    else if len <> !w_len then len < !w_len
-                    else Asn.compare ns.nb.neighbor_asn !w_asn < 0
-              in
-              if better then begin
-                winner := Some (ns, entry);
-                w_pref := pref;
-                w_len := len;
-                w_asn := ns.nb.neighbor_asn
-              end)
-        t.nstates;
-      match !winner with
-      | None -> None
-      | Some (ns, entry) ->
-          Some
-            (Via
-               {
-                 from_asn = ns.nb.neighbor_asn;
-                 relationship = ns.nb.relationship;
-                 as_path = entry.in_path;
-                 aggregator = entry.in_aggregator;
-               })
+      for i = 0 to Array.length t.nstates - 1 do
+        if usable slot i ~now then begin
+          let ns = t.nstates.(i) in
+          let pref = ns.local_pref in
+          let len = Apath.length slot.rib_in.(i).in_path in
+          let better =
+            !winner < 0
+            || (if pref <> !w_pref then pref > !w_pref
+                else if len <> !w_len then len < !w_len
+                else
+                  Asn.compare ns.nb.neighbor_asn
+                    t.nstates.(!winner).nb.neighbor_asn
+                  < 0)
+          in
+          if better then begin
+            winner := i;
+            w_pref := pref;
+            w_len := len
+          end
+        end
+      done;
+      if !winner < 0 then None
+      else begin
+        let ns = t.nstates.(!winner) and entry = slot.rib_in.(!winner) in
+        Some
+          (Via
+             {
+               from_asn = ns.nb.neighbor_asn;
+               relationship = ns.nb.relationship;
+               as_path = entry.in_path;
+               aggregator = entry.in_aggregator;
+             })
+      end
 
 (* ------------------------------------------------------------------ *)
 (* Export                                                               *)
@@ -271,100 +309,85 @@ let export_update t prefix = function
       Update.Announce
         { prefix; as_path = t.cfg.asn :: Apath.nodes as_path; aggregator }
 
-(* The exported update is identical towards every neighbor (the AS prepends
-   itself to the best path regardless of the receiver), so one
-   reconsideration shares a single lazily built announce and withdraw
-   instead of allocating per neighbor — at 10k ASs with high-degree transit
-   cores that is the dominant allocation of the delivery hot path. *)
-let shared_exports t prefix best =
-  ( (match best with
-    | Some b -> lazy (export_update t prefix b)
-    | None -> lazy (Update.Withdraw { prefix }) (* never forced *)),
-    lazy (Update.Withdraw { prefix }) )
+(* What this AS exports for [best]: one update shared by every neighbor
+   session and the feed observation (the AS prepends itself to the best
+   path regardless of the receiver), or the slot's withdraw when there is
+   no route. *)
+let export_of t prefix slot = function
+  | Some b -> export_update t prefix b
+  | None -> slot.withdraw
 
-(* The desired adj-out state towards a neighbor for [prefix], or None when
-   nothing should be advertised.  The valley-free decision is a precomputed
-   per-(learned relationship, neighbor) bit. *)
-let desired_towards ~export best ns =
+(* Whether [best] is advertised towards a neighbor: split horizon, then the
+   valley-free decision, a precomputed per-(learned relationship, neighbor)
+   bit. *)
+let exports_towards best ns =
   match best with
-  | None -> None
-  | Some (Origin _) -> Some (Lazy.force export)
+  | None -> false
+  | Some (Origin _) -> true
   | Some (Via v) ->
-      if Asn.equal v.from_asn ns.nb.neighbor_asn then None (* split horizon *)
-      else if ns.export_from.(rel_index v.relationship) then
-        Some (Lazy.force export)
-      else None
+      (not (Asn.equal v.from_asn ns.nb.neighbor_asn)) (* split horizon *)
+      && ns.export_from.(rel_index v.relationship)
 
-let mrai_state_of ns prefix =
-  match Ptbl.find_opt ns.mrai prefix with
-  | Some s -> s
-  | None ->
-      let s = { gate_until = 0.0; pending = false } in
-      Ptbl.replace ns.mrai prefix s;
-      s
+let mrai_state_of t slot i =
+  if Array.length slot.mrai = 0 then
+    slot.mrai <- Array.make (Array.length t.nstates) no_gate;
+  let s = slot.mrai.(i) in
+  if s != no_gate then s
+  else begin
+    let s = { gate_until = 0.0; pending = false } in
+    slot.mrai.(i) <- s;
+    s
+  end
 
-(* Push the desired state towards the neighbor, respecting MRAI for
-   announcements.  Returns actions. *)
-let sync_neighbor ~now prefix best ns ~export ~withdraw =
-  let previously = Ptbl.find_opt ns.adj_out prefix in
-  let desired = desired_towards ~export best ns in
-  let already_withdrawn =
+(* Push the desired state towards neighbor [i] — [export] when [best] is
+   advertised there, else a withdrawal — respecting MRAI for announcements;
+   the resulting action, if any, is consed onto [acc]. *)
+let send slot i ns update acc =
+  slot.adj_out.(i) <- update;
+  Send { to_asn = ns.nb.neighbor_asn; update } :: acc
+
+let sync_neighbor t ~now prefix best slot i ~export acc =
+  let ns = t.nstates.(i) in
+  let previously = slot.adj_out.(i) in
+  if not (exports_towards best ns) then
     match previously with
-    | None -> true
-    | Some (Update.Withdraw _) -> true
-    | Some (Update.Announce _) -> false
-  in
-  match desired with
-  | None ->
-      if already_withdrawn then []
-      else begin
+    | Update.Withdraw _ -> acc (* already withdrawn, or never announced *)
+    | Update.Announce _ ->
         (* Withdrawals bypass MRAI (RFC 4271 §9.2.1.1). *)
-        let w = Lazy.force withdraw in
-        Ptbl.replace ns.adj_out prefix w;
-        [ Send { to_asn = ns.nb.neighbor_asn; update = w } ]
-      end
-  | Some u ->
-      let same =
-        match previously with Some p -> Update.equal p u | None -> false
-      in
-      if same then []
-      else begin
-        let ms = mrai_state_of ns prefix in
-        if ns.nb.mrai <= 0.0 || now >= ms.gate_until then begin
-          ms.gate_until <- now +. ns.nb.mrai;
-          Ptbl.replace ns.adj_out prefix u;
-          [ Send { to_asn = ns.nb.neighbor_asn; update = u } ]
-        end
-        else if ms.pending then []
-        else begin
-          ms.pending <- true;
-          [ Set_mrai_timer
-              { neighbor = ns.nb.neighbor_asn; prefix; at = ms.gate_until } ]
-        end
-      end
+        send slot i ns slot.withdraw acc
+  else if Update.equal previously export then acc
+  else if ns.nb.mrai <= 0.0 then send slot i ns export acc
+  else begin
+    let ms = mrai_state_of t slot i in
+    if now >= ms.gate_until then begin
+      ms.gate_until <- now +. ns.nb.mrai;
+      send slot i ns export acc
+    end
+    else if ms.pending then acc
+    else begin
+      ms.pending <- true;
+      Set_mrai_timer
+        { neighbor = ns.nb.neighbor_asn; prefix; at = ms.gate_until }
+      :: acc
+    end
+  end
 
-let feed_action t prefix best ~export ~withdraw =
-  let observation =
-    match best with
-    | Some _ -> Lazy.force export
-    | None -> Lazy.force withdraw
-  in
+let feed_action slot observation =
   let same =
-    match Ptbl.find_opt t.last_feed prefix with
-    | Some prev -> Update.equal prev observation
-    | None ->
-        (* A withdraw for a never-announced prefix is not an observation. *)
-        not (Update.is_announce observation)
+    if slot.last_feed == no_update then
+      (* A withdraw for a never-announced prefix is not an observation. *)
+      not (Update.is_announce observation)
+    else Update.equal slot.last_feed observation
   in
   if same then []
   else begin
-    Ptbl.replace t.last_feed prefix observation;
+    slot.last_feed <- observation;
     [ Feed observation ]
   end
 
-let reconsider t ~now prefix =
-  let old_best = Ptbl.find_opt t.loc_rib prefix in
-  let new_best = decide t ~now prefix in
+let reconsider t ~now prefix slot =
+  let old_best = slot.loc_rib in
+  let new_best = decide t ~now slot in
   let changed =
     match (old_best, new_best) with
     | None, None -> false
@@ -373,44 +396,44 @@ let reconsider t ~now prefix =
   in
   if not changed then []
   else begin
-    (match new_best with
-    | Some b -> Ptbl.replace t.loc_rib prefix b
-    | None -> Ptbl.remove t.loc_rib prefix);
-    let export, withdraw = shared_exports t prefix new_best in
-    let exports = ref [] in
+    slot.loc_rib <- new_best;
+    let export = export_of t prefix slot new_best in
+    (* Neighbor syncs in config order, then the feed observation. *)
+    let acc = ref (feed_action slot export) in
     for i = Array.length t.nstates - 1 downto 0 do
-      exports :=
-        sync_neighbor ~now prefix new_best t.nstates.(i) ~export ~withdraw
-        @ !exports
+      acc := sync_neighbor t ~now prefix new_best slot i ~export !acc
     done;
-    !exports @ feed_action t prefix new_best ~export ~withdraw
+    !acc
   end
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                         *)
 
 let classify_rfd_event existing update interned =
-  match (update, existing) with
-  | Update.Withdraw _, Some _ -> Some Rfd.Withdrawal
-  | Update.Withdraw _, None -> None (* spurious withdrawal: no penalty *)
-  | Update.Announce _, None -> Some Rfd.Readvertisement
-  | Update.Announce a, Some (old : rib_in_entry) ->
-      let same_path = Apath.equal interned old.in_path in
-      let same_aggregator =
-        Update.aggregator_equal a.aggregator old.in_aggregator
-      in
-      if same_path && same_aggregator then None (* exact duplicate *)
-      else Some Rfd.Attribute_change
+  match update with
+  | Update.Withdraw _ ->
+      if existing == no_route then None (* spurious withdrawal: no penalty *)
+      else Some Rfd.Withdrawal
+  | Update.Announce a ->
+      if existing == no_route then Some Rfd.Readvertisement
+      else begin
+        let same_path = Apath.equal interned existing.in_path in
+        let same_aggregator =
+          Update.aggregator_equal a.aggregator existing.in_aggregator
+        in
+        if same_path && same_aggregator then None (* exact duplicate *)
+        else Some Rfd.Attribute_change
+      end
 
 let handle_update t ~now ~from update =
-  let ns = state_exn t from in
+  let i = index_exn t from in
   let prefix = Update.prefix update in
-  let existing = Ptbl.find_opt ns.rib_in prefix in
+  let slot = slot_of t prefix in
+  let existing = slot.rib_in.(i) in
   (* Loop prevention: an announcement containing our own ASN is rejected,
      which for RIB purposes equals a withdrawal of that session's route. *)
   let update =
-    if Update.path_contains t.cfg.asn update then Update.Withdraw { prefix }
-    else update
+    if Update.path_contains t.cfg.asn update then slot.withdraw else update
   in
   (* Intern the received path once: one traversal pre-computes the length
      and hash every later comparison uses. *)
@@ -420,11 +443,11 @@ let handle_update t ~now ~from update =
     | Update.Withdraw _ -> Apath.empty
   in
   let timer_actions =
-    if ns.damps then begin
+    if t.nstates.(i).damps then begin
       match classify_rfd_event existing update interned with
       | None -> []
       | Some event ->
-          let state = rfd_state_ensure ns prefix t.cfg.rfd_params in
+          let state = rfd_state_ensure t slot i in
           let was = Rfd.suppressed state ~now in
           Rfd.record state ~now event;
           let is_now = Rfd.suppressed state ~now in
@@ -438,20 +461,21 @@ let handle_update t ~now ~from update =
     end
     else []
   in
-  (match update with
-  | Update.Withdraw _ -> Ptbl.remove ns.rib_in prefix
-  | Update.Announce a ->
-      Ptbl.replace ns.rib_in prefix
-        { in_path = interned; in_aggregator = a.aggregator });
-  timer_actions @ reconsider t ~now prefix
+  slot.rib_in.(i) <-
+    (match update with
+    | Update.Withdraw _ -> no_route
+    | Update.Announce a -> { in_path = interned; in_aggregator = a.aggregator });
+  timer_actions @ reconsider t ~now prefix slot
 
 let originate t ~now ?aggregator prefix =
-  Ptbl.replace t.originated prefix aggregator;
-  reconsider t ~now prefix
+  let slot = slot_of t prefix in
+  slot.origin <- Some (Origin aggregator);
+  reconsider t ~now prefix slot
 
 let withdraw_origin t ~now prefix =
-  Ptbl.remove t.originated prefix;
-  reconsider t ~now prefix
+  let slot = slot_of t prefix in
+  slot.origin <- None;
+  reconsider t ~now prefix slot
 
 let handle_reuse_check t ~now ~neighbor ~prefix =
   match rfd_state t ~neighbor ~prefix with
@@ -465,48 +489,50 @@ let handle_reuse_check t ~now ~neighbor ~prefix =
       end
       else begin
         t.stats.rfd_releases <- t.stats.rfd_releases + 1;
-        reconsider t ~now prefix
+        reconsider t ~now prefix (slot_of t prefix)
       end
 
+(* Prefixes whose slot satisfies [f], in prefix order. *)
+let sorted_slots t f =
+  Ptbl.fold
+    (fun prefix slot acc -> if f slot then (prefix, slot) :: acc else acc)
+    t.slots []
+  |> List.sort (fun (a, _) (b, _) -> Prefix.compare a b)
+
 let handle_session_down t ~now ~neighbor =
-  let ns = state_exn t neighbor in
+  let i = index_exn t neighbor in
   (* Routes learned on the session are gone: clear the adj-RIB-in ... *)
-  let affected =
-    Ptbl.fold (fun prefix _ acc -> prefix :: acc) ns.rib_in []
-    |> List.sort_uniq Prefix.compare
-  in
-  Ptbl.reset ns.rib_in;
+  let affected = sorted_slots t (fun slot -> slot.rib_in.(i) != no_route) in
   (* ... and forget what we advertised over it, together with its MRAI
      state — a re-established session starts from an empty adj-RIB-out. *)
-  Ptbl.reset ns.adj_out;
-  Ptbl.reset ns.mrai;
+  Ptbl.iter
+    (fun _ slot ->
+      slot.rib_in.(i) <- no_route;
+      slot.adj_out.(i) <- no_update;
+      if Array.length slot.mrai > 0 then slot.mrai.(i) <- no_gate)
+    t.slots;
   (* Path re-exploration: every prefix routed via the dead session is
      reconsidered, producing withdrawals or failover announcements
      downstream. *)
-  List.concat_map (reconsider t ~now) affected
+  List.concat_map (fun (prefix, slot) -> reconsider t ~now prefix slot) affected
 
 let handle_session_up t ~now ~neighbor =
-  let ns = state_exn t neighbor in
+  let i = index_exn t neighbor in
   (* The peer's RIB is empty after the reset: re-advertise the current
      loc-RIB from scratch, subject to the usual export policy. *)
-  let prefixes =
-    Ptbl.fold (fun prefix _ acc -> prefix :: acc) t.loc_rib []
-    |> List.sort_uniq Prefix.compare
-  in
   List.concat_map
-    (fun prefix ->
-      Ptbl.remove ns.adj_out prefix;
-      Ptbl.remove ns.mrai prefix;
-      let best = Ptbl.find_opt t.loc_rib prefix in
-      let export, withdraw = shared_exports t prefix best in
-      sync_neighbor ~now prefix best ns ~export ~withdraw)
-    prefixes
+    (fun (prefix, slot) ->
+      slot.adj_out.(i) <- no_update;
+      if Array.length slot.mrai > 0 then slot.mrai.(i) <- no_gate;
+      let export = export_of t prefix slot slot.loc_rib in
+      sync_neighbor t ~now prefix slot.loc_rib slot i ~export [])
+    (sorted_slots t (fun slot -> Option.is_some slot.loc_rib))
 
 let handle_mrai_expiry t ~now ~neighbor ~prefix =
-  let ns = state_exn t neighbor in
-  let ms = mrai_state_of ns prefix in
+  let i = index_exn t neighbor in
+  let slot = slot_of t prefix in
+  let ms = mrai_state_of t slot i in
   ms.pending <- false;
   ms.gate_until <- Float.min ms.gate_until now;
-  let best = Ptbl.find_opt t.loc_rib prefix in
-  let export, withdraw = shared_exports t prefix best in
-  sync_neighbor ~now prefix best ns ~export ~withdraw
+  let export = export_of t prefix slot slot.loc_rib in
+  sync_neighbor t ~now prefix slot.loc_rib slot i ~export []

@@ -68,7 +68,9 @@ type table_sizes = {
   rib_in_entries : int;   (** Entries across every neighbor's adj-RIB-in. *)
   rfd_states : int;       (** Live RFD penalty states across neighbors. *)
   adj_out_entries : int;  (** Entries across every neighbor's adj-RIB-out. *)
-  mrai_states : int;      (** MRAI gate states across neighbors. *)
+  mrai_states : int;
+      (** MRAI gate states across neighbors (sessions with MRAI 0 hold
+          none). *)
   loc_rib_entries : int;
 }
 
@@ -82,7 +84,7 @@ val stats : t -> stats
 
 val table_sizes : t -> table_sizes
 (** Current cache-table entry counts — the telemetry memory gauges.  Walks
-    the neighbor array; call at snapshot time, not per event. *)
+    every prefix's state; call at snapshot time, not per event. *)
 
 val handle_update : t -> now:float -> from:Asn.t -> Update.t -> action list
 (** Process one update received from a configured neighbor.  Raises

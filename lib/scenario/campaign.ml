@@ -316,6 +316,14 @@ let run_multi ?recovery world params ~intervals =
           ~monitored:(World.monitored world)
           ~until:campaign_end script)
   in
+  (* The shard networks — router tables, event heaps — die here.  Under the
+     pool domains' lazy major-GC pacing they would linger as floating
+     garbage while collection builds ~600 k dump records on top of them, so
+     the heap would grow by their size on every campaign a process runs.
+     One full collection returns them to the free lists first: on the
+     default world, 0.1 s for a peak RSS of 233 instead of 258 MB, and 498
+     instead of 650 MB when a process keeps four campaign outcomes alive. *)
+  Gc.full_major ();
   (* Drain boundary: a shutdown requested mid-simulation lands here once
      the in-flight shards have checkpointed; everything below is cheaper to
      recompute on resume than to persist. *)
@@ -338,7 +346,11 @@ let run_multi ?recovery world params ~intervals =
         | None -> anc)
       Prefix.Set.empty sites
   in
+  (* Only these scalars outlive collection: the per-interval closure below
+     must not keep [sim] — and with it every shard's feed store — reachable
+     through labeling, inference and the heuristics. *)
   let deliveries = sim.Sharded.stats.Because_sim.Network.deliveries in
+  let events = sim.Sharded.events and shard_events = sim.Sharded.shard_events in
   let outcomes =
     List.mapi
     (fun k (interval, schedule) ->
@@ -455,8 +467,8 @@ let run_multi ?recovery world params ~intervals =
         promotions;
         heuristic_verdicts;
         deliveries;
-        events = sim.Sharded.events;
-        shard_events = sim.Sharded.shard_events;
+        events;
+        shard_events;
         campaign_end;
         fault_log;
         insufficient;

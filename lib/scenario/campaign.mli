@@ -130,7 +130,9 @@ val with_jobs : ?n_chains:int -> ?sim_jobs:int -> params -> int -> params
     worker domains (and optionally [n_chains] independent chains per
     sampler) by rewriting [params.infer_config]; [sim_jobs] additionally
     shards the simulation itself.  Campaign outcomes are bit-for-bit
-    independent of [jobs] — only wall-clock changes. *)
+    independent of [jobs] — only wall-clock changes.  Across [sim_jobs]
+    the simulated feeds are identical per prefix; same-instant entries of
+    different prefixes may be reordered (see {!Because_sim.Sharded}). *)
 
 val run_multi :
   ?recovery:Recovery.t -> World.t -> params -> intervals:float list -> outcome list

@@ -153,7 +153,11 @@ let log_fault t ~now ev = t.fault_log <- (now, ev) :: t.fault_log
 
 let link_key a b = if Asn.compare a b <= 0 then (a, b) else (b, a)
 
-let session_of t a b = Hashtbl.find_opt t.sessions (link_key a b)
+(* Every fault-free run leaves [sessions] empty: skip building and hashing
+   the key on the per-delivery path. *)
+let session_of t a b =
+  if Hashtbl.length t.sessions = 0 then None
+  else Hashtbl.find_opt t.sessions (link_key a b)
 
 (* Drive a freshly created FSM to Established: before the first fault a
    session has by definition been up forever, so the record starts there. *)
@@ -214,10 +218,10 @@ let session_passing ls =
 (* ------------------------------------------------------------------ *)
 (* Event handling                                                       *)
 
-let rec perform t ~now owner actions =
-  List.iter
-    (fun action ->
-      match action with
+let rec perform t ~now owner = function
+  | [] -> ()
+  | action :: rest ->
+      (match action with
       | Router.Send { to_asn; update } ->
           let d = t.delay ~from_asn:owner ~to_asn in
           Engine.schedule t.engine ~time:(now +. d)
@@ -228,8 +232,16 @@ let rec perform t ~now owner actions =
       | Router.Set_mrai_timer { neighbor; prefix; at } ->
           Engine.schedule t.engine ~time:at
             (Mrai_expiry { owner; neighbor; prefix })
-      | Router.Feed update -> record_feed t ~now owner update)
-    actions
+      | Router.Feed update -> record_feed t ~now owner update);
+      perform t ~now owner rest
+
+and deliver t ~now ~from_asn ~to_asn update =
+  t.stats.deliveries <- t.stats.deliveries + 1;
+  (if Update.is_announce update then
+     t.stats.announcements <- t.stats.announcements + 1
+   else t.stats.withdrawals <- t.stats.withdrawals + 1);
+  perform t ~now to_asn
+    (Router.handle_update (router t to_asn) ~now ~from:from_asn update)
 
 (* Feed one event to a side's FSM and perform the resulting actions. *)
 and fsm_step t ~now ls side ev =
@@ -314,45 +326,29 @@ and handle t ~now event =
   match event with
   | Deliver { from_asn; to_asn; update } -> (
       match session_of t from_asn to_asn with
+      | None -> deliver t ~now ~from_asn ~to_asn update
       | Some ls when not (session_passing ls) ->
           (* In transit while the session died: lost with the transport. *)
           t.stats.lost <- t.stats.lost + 1
-      | (Some _ | None) as s ->
-          let impaired =
-            match s with
-            | Some ls when ls.loss > 0.0 || ls.dup > 0.0 -> Some ls
-            | _ -> None
+      | Some ls ->
+          (* Loss and duplication draw from the fault stream only on an
+             impaired link. *)
+          let draw p =
+            p > 0.0
+            && match t.fault_rng with
+               | Some rng -> Rng.float rng < p
+               | None -> false
           in
-          let rng_draw p =
-            match (impaired, t.fault_rng) with
-            | Some _, Some rng when p > 0.0 -> Rng.float rng < p
-            | _ -> false
-          in
-          let lost = rng_draw (match impaired with
-            | Some ls -> ls.loss | None -> 0.0)
-          in
-          if lost then begin
+          if draw ls.loss then begin
             t.stats.lost <- t.stats.lost + 1;
             log_fault t ~now (Fault_update_lost { from_asn; to_asn })
           end
           else begin
-            let deliver_once () =
-              t.stats.deliveries <- t.stats.deliveries + 1;
-              (if Update.is_announce update then
-                 t.stats.announcements <- t.stats.announcements + 1
-               else t.stats.withdrawals <- t.stats.withdrawals + 1);
-              let r = router t to_asn in
-              perform t ~now to_asn
-                (Router.handle_update r ~now ~from:from_asn update)
-            in
-            deliver_once ();
-            let duplicated = rng_draw (match impaired with
-              | Some ls -> ls.dup | None -> 0.0)
-            in
-            if duplicated then begin
+            deliver t ~now ~from_asn ~to_asn update;
+            if draw ls.dup then begin
               t.stats.duplicated <- t.stats.duplicated + 1;
               log_fault t ~now (Fault_update_duplicated { from_asn; to_asn });
-              deliver_once ()
+              deliver t ~now ~from_asn ~to_asn update
             end
           end)
   | Reuse_check { owner; neighbor; prefix } ->

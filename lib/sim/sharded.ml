@@ -55,8 +55,10 @@ type checkpoint_hooks = {
 (* Merge one vantage's per-shard entries.  Entries of a given prefix all
    live in one shard, in their sequential relative order; the cross-prefix
    interleave is reconstructed by time with the prefix's first-touch rank
-   breaking ties — exactly the sequential heap's FIFO order for the
-   lineage-aligned cascades that produce cross-prefix time ties. *)
+   breaking ties.  That matches the sequential heap's FIFO order for
+   lineage-aligned cascades, but not always: when one event releases two
+   prefixes at the same instant (an MRAI flush of both, say) the heap emits
+   them in scheduling order, which need not be rank order. *)
 let merge_entries rank_of entries =
   List.stable_sort
     (fun (ta, ua) (tb, ub) ->

@@ -15,11 +15,16 @@
     state is bounded by the seat count while per-shard state shrinks with
     the shard count — the spill mode for Internet-scale prefix sets.
 
-    With no faults and no impairments the merged result is bit-for-bit
-    identical to the sequential run for any [jobs] and any [shards]
-    (property-tested); with faults, per-shard loss/duplication draws come
-    from pre-split RNG streams so the outcome is deterministic for a given
-    shard count. *)
+    With no faults and no impairments, for any [jobs] and any [shards], the
+    merged stats and event count equal the sequential run's, and so does
+    every feed's projection onto one prefix, bit for bit (property-tested).
+    What can differ is the order of two prefixes' entries at the exact same
+    instant: the merge orders such ties by first-touch rank, the sequential
+    heap by scheduling order, and the two disagree when one event releases
+    several prefixes together (one MRAI flush towards a vantage, say — 4
+    swapped pairs among 381 323 feed entries on the default world).  With faults, per-shard
+    loss/duplication draws come from pre-split RNG streams so the outcome is
+    deterministic for a given shard count. *)
 
 open Because_bgp
 
@@ -56,7 +61,8 @@ type result = {
 val feed : result -> Asn.t -> (float * Update.t) list
 (** Chronological observations of one vantage, merged across shards on
     demand (stable sort on time, cross-prefix ties by first-touch rank) —
-    identical to the sequential network's feed.  Spilled stores are replayed
+    the sequential network's feed up to the order of same-instant entries
+    of different prefixes.  Spilled stores are replayed
     from disk here, one vantage at a time, so the whole update volume is
     never resident at once. *)
 

@@ -305,9 +305,13 @@ let test_seed_robustness () =
     [ 7; 99; 1234 ]
 
 let test_sim_jobs_equivalence () =
-  (* A fault-free campaign must be bit-for-bit independent of sim_jobs:
-     identical dump records (times, vantage, update) and identical labels.
-     Background churn is on so beacon and churn prefixes shard together. *)
+  (* On this fixture a fault-free campaign is bit-for-bit independent of
+     sim_jobs: identical dump records (times, vantage, update) and identical
+     labels.  Background churn is on so beacon and churn prefixes shard
+     together.  In general only the per-prefix feeds are shard-invariant:
+     same-instant entries of different prefixes follow first-touch rank
+     when sharded (see the sharded suite's same-instant tie test); this
+     world happens to have no such tie. *)
   let w = Lazy.force world in
   let p = Sc.Campaign.default_params ~update_interval:60.0 in
   let p =

@@ -366,6 +366,183 @@ let test_script_ranks () =
   Script.link_down script ~time:3.0 ~a:(asn 1) ~b:(asn 2);
   Alcotest.(check bool) "fault recorded" true (Script.has_faults script)
 
+(* Same-instant cross-prefix ties.  One transit forwards two prefixes to the
+   monitored stub over one MRAI-gated session; the origin's script touches
+   [pa] first (rank 0) but withdraws and re-announces [pb] first at the same
+   instants.  The sequential heap therefore delivers [pb] ahead of [pa] at
+   equal timestamps, both for the immediate withdrawals and for the MRAI
+   flush that releases both pending announcements together, while the
+   shard merge orders such ties by first-touch rank.  What holds for any
+   shard count is per-prefix identity and a reordering confined to equal
+   timestamps. *)
+let tie_world () =
+  let origin = 65001 and transit = 1 and monitor = 900 in
+  let configs =
+    [ { Router.asn = asn origin;
+        neighbors = [ nb transit Policy.Provider ];
+        rfd_scope = Policy.No_rfd; rfd_params = Rfd_params.cisco };
+      { Router.asn = asn transit;
+        neighbors = [ nb origin Policy.Customer;
+                      nb ~mrai:30.0 monitor Policy.Customer ];
+        rfd_scope = Policy.No_rfd; rfd_params = Rfd_params.cisco };
+      { Router.asn = asn monitor;
+        neighbors = [ nb transit Policy.Provider ];
+        rfd_scope = Policy.No_rfd; rfd_params = Rfd_params.cisco } ]
+  in
+  let delay ~from_asn:_ ~to_asn:_ = 0.5 in
+  let pa = Prefix.beacon ~site:0 ~slot:0
+  and pb = Prefix.beacon ~site:0 ~slot:1 in
+  let o = asn origin in
+  let script = Script.create () in
+  Script.announce script ~time:0.0 ~origin:o pa;
+  Script.announce script ~time:0.0 ~origin:o pb;
+  List.iter
+    (fun (time, op) ->
+      op script ~time ~origin:o pb;
+      op script ~time ~origin:o pa)
+    [ (10.0, Script.withdraw); (20.0, Script.announce) ];
+  (configs, delay, Asn.Set.singleton (asn monitor), script)
+
+(* [feed] cut into maximal runs of equal timestamps. *)
+let time_groups feed =
+  List.fold_left
+    (fun acc (t, u) ->
+      match acc with
+      | (t', us) :: rest when Float.equal t t' -> (t, u :: us) :: rest
+      | _ -> (t, [ u ]) :: acc)
+    [] feed
+  |> List.rev_map (fun (t, us) -> (t, List.rev us))
+
+let test_same_instant_ties () =
+  let configs, delay, monitored, script = tie_world () in
+  let go ~jobs ~shards =
+    Sharded.run ~jobs ~shards ~configs ~delay ~monitored ~until:200.0 script
+  in
+  let seq = go ~jobs:1 ~shards:1 and shd = go ~jobs:2 ~shards:2 in
+  let rank u = Option.get (Script.rank script (Update.prefix u)) in
+  let cross_prefix_ties feed =
+    List.concat_map
+      (fun (_, us) ->
+        match us with
+        | [ a; b ] when not (Prefix.equal (Update.prefix a) (Update.prefix b))
+          ->
+            [ (rank a, rank b) ]
+        | _ -> [])
+      (time_groups feed)
+  in
+  List.iter2
+    (fun (vantage, seq_feed) (vantage', shd_feed) ->
+      Alcotest.(check int) "vantage" (Asn.to_int vantage) (Asn.to_int vantage');
+      (* The fixture really contains ties the sequential run emits
+         higher-rank first: after the first announcements, a withdrawal
+         pair and an MRAI flush pair. *)
+      Alcotest.(check (list (pair int int)))
+        "sequential ties" [ (0, 1); (1, 0); (1, 0) ]
+        (cross_prefix_ties seq_feed);
+      Alcotest.(check (list (pair int int)))
+        "merged ties: rank order" [ (0, 1); (0, 1); (0, 1) ]
+        (cross_prefix_ties shd_feed);
+      let same_entries a b =
+        List.length a = List.length b
+        && List.for_all2
+             (fun (ta, ua) (tb, ub) -> Float.equal ta tb && Update.equal ua ub)
+             a b
+      in
+      List.iter
+        (fun prefix ->
+          let only feed =
+            List.filter (fun (_, u) -> Prefix.equal (Update.prefix u) prefix)
+              feed
+          in
+          Alcotest.(check bool)
+            (Format.asprintf "%a: per-prefix projection identical" Prefix.pp
+               prefix)
+            true
+            (same_entries (only seq_feed) (only shd_feed)))
+        (Script.prefixes script);
+      let sorted us = List.sort compare us in
+      let gs = time_groups seq_feed and gm = time_groups shd_feed in
+      Alcotest.(check int) "same timestamps" (List.length gs) (List.length gm);
+      List.iter2
+        (fun (ts, us) (tm, um) ->
+          Alcotest.(check bool) "timestamp" true (Float.equal ts tm);
+          Alcotest.(check bool) "same entries within the timestamp" true
+            (List.equal Update.equal (sorted us) (sorted um)))
+        gs gm)
+    (Sharded.feeds seq) (Sharded.feeds shd)
+
+(* Golden feed digests.  A reduced default-style world (planted RFD
+   deployment, 30-s MRAI on a share of the ASs) under a two-cycle Beacon
+   campaign at a 1-minute interval; the digests pin every vantage feed's
+   times, updates and order at 1 shard and at 4 shards, so a rewrite of the
+   router or the engine cannot silently change the event stream. *)
+module Sc = Because_scenario
+
+let golden_inputs =
+  lazy
+    (let world =
+       Sc.World.build
+         { Sc.World.default_params with
+           n_vantage_hosts = 12;
+           topology =
+             { Because_topology.Generate.default_params with
+               n_transit = 20; n_stub = 60 } }
+     in
+     let p = Sc.Campaign.default_params ~update_interval:60.0 in
+     let schedule =
+       Because_beacon.Schedule.of_durations ~lead_in:p.Sc.Campaign.lead_in
+         ~update_interval:60.0 ~burst_duration:p.Sc.Campaign.burst_duration
+         ~break_duration:p.Sc.Campaign.break_duration ~cycles:2 ()
+     in
+     let until =
+       Because_beacon.Schedule.end_time schedule
+       +. p.Sc.Campaign.break_duration +. 600.0
+     in
+     let anchor_cycles =
+       1 + int_of_float (Float.ceil (until /. (2.0 *. p.Sc.Campaign.anchor_period)))
+     in
+     let script = Script.create () in
+     List.iter
+       (fun (site_id, origin) ->
+         Because_beacon.Site.install
+           (Because_beacon.Site.make ~site_id ~origin
+              ~anchor_period:p.Sc.Campaign.anchor_period ~anchor_cycles
+              ~oscillating:[ schedule ] ())
+           script)
+       (Sc.World.site_origins world);
+     (world, until, script))
+
+let feeds_digest r =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (vantage, feed) ->
+      Printf.bprintf b "@%d\n" (Asn.to_int vantage);
+      List.iter
+        (fun (t, u) -> Printf.bprintf b "%h %s\n" t (Format.asprintf "%a" Update.pp u))
+        feed)
+    (Sharded.feeds r);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_feed_digest () =
+  let world, until, script = Lazy.force golden_inputs in
+  let go ?(telemetry = Because_telemetry.Registry.disabled) ~jobs ~shards () =
+    Sharded.run ~telemetry ~jobs ~shards
+      ~configs:(Sc.World.router_configs world) ~delay:(Sc.World.delay world)
+      ~monitored:(Sc.World.monitored world) ~until script
+  in
+  let reg = Because_telemetry.Registry.create () in
+  let seq = go ~telemetry:reg ~jobs:1 ~shards:1 () in
+  (* The fixture exercises both timers the digest is meant to pin. *)
+  let snap = Because_telemetry.Registry.snapshot reg in
+  let module Snap = Because_telemetry.Snapshot in
+  Alcotest.(check bool) "RFD suppresses" true
+    (Option.value ~default:0 (Snap.counter snap "sim.rfd_suppressions") > 0);
+  Alcotest.(check bool) "MRAI gates armed" true
+    (Option.value ~default:0.0 (Snap.gauge snap "sim.tables.mrai") > 0.0);
+  Alcotest.(check string) "1 shard" "a2bf441fdf168d5ee7b0b8dcd63cf6fe" (feeds_digest seq);
+  Alcotest.(check string) "4 shards x 2 jobs" "a2bf441fdf168d5ee7b0b8dcd63cf6fe"
+    (feeds_digest (go ~jobs:2 ~shards:4 ()))
+
 let suite =
   ( "sharded",
     [
@@ -378,4 +555,7 @@ let suite =
       Alcotest.test_case "invalid jobs" `Quick test_invalid_jobs;
       Alcotest.test_case "empty script" `Quick test_empty_script;
       Alcotest.test_case "script ranks" `Quick test_script_ranks;
+      Alcotest.test_case "same-instant ties reorder only within a timestamp"
+        `Quick test_same_instant_ties;
+      Alcotest.test_case "golden feed digests" `Slow test_golden_feed_digest;
     ] )
