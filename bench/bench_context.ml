@@ -76,3 +76,12 @@ let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
 let paper note = Printf.printf "paper: %s\n" note
+
+(* A section that could not measure what it should (a scale child that died)
+   calls [fail]; the harness still runs the remaining sections, then exits
+   1, so a CI step cannot pass on a partial run. *)
+let failed = ref false
+
+let fail msg =
+  Printf.eprintf "bench failure: %s\n%!" msg;
+  failed := true

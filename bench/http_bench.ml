@@ -2,7 +2,7 @@
    the snapshot-cached endpoints, measured over a keep-alive loopback
    connection, plus the sweeps-to-convergence saving of a warm-started
    streaming epoch versus a cold run of the same epoch.  Writes
-   BENCH_http.json (CI artifact). *)
+   BENCH_http.json through {!Ledger}. *)
 
 module Ctx = Bench_context
 module Svc = Because_service.Service
@@ -12,8 +12,6 @@ module Query = Because_service.Query
 module Stream = Because_service.Stream
 module Server = Because_http.Server
 module Asn = Because_bgp.Asn
-
-type row = { name : string; value : float; unit_ : string }
 
 let fresh_dir () =
   let f = Filename.temp_file "because-bench-http" ".dir" in
@@ -198,11 +196,10 @@ let stream_gate_rows () =
           Printf.printf "%-36s %10d sweeps\n" "epoch-2 cold gate" c;
           Printf.printf "%-36s %10d sweeps (-%.0f%%)\n" "epoch-2 warm gate" w
             saving;
-          [ { name = "stream_cold_gate_sweeps"; value = float_of_int c;
-              unit_ = "sweeps" };
-            { name = "stream_warm_gate_sweeps"; value = float_of_int w;
-              unit_ = "sweeps" };
-            { name = "stream_warm_saving"; value = saving; unit_ = "%" } ]
+          let name q = "http.stream_epoch2." ^ q in
+          [ Ledger.row (name "cold_gate_sweeps") "count" Lower (float_of_int c);
+            Ledger.row (name "warm_gate_sweeps") "count" Lower (float_of_int w);
+            Ledger.row (name "warm_saving_pct") "%" Higher saving ]
       | _ -> failwith "bench stream: a convergence gate did not pass")
 
 (* Overload behaviour: goodput at 3x worker capacity through one-shot
@@ -377,32 +374,18 @@ let overload_rows () =
         goodput pct (p99 *. 1e3);
       Printf.printf "%-36s %10d shed (+%d in burst), %d other\n" "overload sheds"
         shed_n !burst_shed other_n;
-      [ { name = "overload_uncontended_rps"; value = base_rps; unit_ = "1/s" };
-        { name = "overload_goodput_rps"; value = goodput; unit_ = "1/s" };
-        { name = "overload_goodput_pct"; value = pct; unit_ = "%" };
-        { name = "overload_p99"; value = p99 *. 1e6; unit_ = "us" };
-        { name = "overload_deadline"; value = overload_deadline_s *. 1e6;
-          unit_ = "us" };
-        { name = "overload_shed"; value = float_of_int (shed_n + !burst_shed);
-          unit_ = "1" } ])
-
-let write_json path rows =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "{\n";
-      Printf.fprintf oc "  \"schema\": \"because-bench-http/1\",\n";
-      Printf.fprintf oc "  \"quick\": %b,\n" Ctx.quick;
-      output_string oc "  \"results\": [\n";
-      List.iteri
-        (fun k row ->
-          Printf.fprintf oc
-            "    { \"name\": \"%s\", \"value\": %.3f, \"unit\": \"%s\" }%s\n"
-            row.name row.value row.unit_
-            (if k = List.length rows - 1 then "" else ","))
-        rows;
-      output_string oc "  ]\n}\n")
+      (* The deadline and the 3x load are the setting, so they are part of
+         every row's name: CI compares the p99 row against this deadline. *)
+      let name q =
+        Printf.sprintf "http.overload_%dx_deadline_%gs.%s" (clients / threads)
+          overload_deadline_s q
+      in
+      [ Ledger.row (name "capacity_req_per_s") "1/s" Higher base_rps;
+        Ledger.row (name "goodput_req_per_s") "1/s" Higher goodput;
+        Ledger.row (name "goodput_pct") "%" Higher pct;
+        Ledger.row (name "p99_us") "us" Lower (p99 *. 1e6);
+        Ledger.row (name "shed") "count" Lower
+          (float_of_int (shed_n + !burst_shed)) ])
 
 let run () =
   Ctx.section "http query plane";
@@ -422,11 +405,10 @@ let run () =
             in
             Printf.printf "%-36s %10.0f req/s (p50 %.0f us, p99 %.0f us, %d B)\n"
               (label ^ " sustained") rps (p50 *. 1e6) (p99 *. 1e6) body;
-            [ { name = label ^ "_rps"; value = rps; unit_ = "1/s" };
-              { name = label ^ "_p50"; value = p50 *. 1e6; unit_ = "us" };
-              { name = label ^ "_p99"; value = p99 *. 1e6; unit_ = "us" } ])
+            let name q = Printf.sprintf "http.%s.%s" label q in
+            [ Ledger.row (name "req_per_s") "1/s" Higher rps;
+              Ledger.row (name "p50_us") "us" Lower (p50 *. 1e6);
+              Ledger.row (name "p99_us") "us" Lower (p99 *. 1e6) ])
           [ ("status", "/status"); ("matrix", "/matrix") ])
   in
-  let rows = rows @ overload_rows () @ stream_gate_rows () in
-  write_json "BENCH_http.json" rows;
-  Printf.printf "wrote BENCH_http.json (%d rows)\n" (List.length rows)
+  Ledger.write ~section:"http" (rows @ overload_rows () @ stream_gate_rows ())

@@ -1,8 +1,8 @@
 (* Bechamel micro-benchmarks of the computational kernels.
 
-   Beyond printing to stdout, the section writes BENCH_kernels.json
-   (name, ns/run, minor words/run per kernel) so the performance trajectory
-   is tracked across PRs by CI artifacts instead of eyeballed.
+   Beyond printing to stdout, the section writes BENCH_kernels.json through
+   {!Ledger}: ns/run and minor words/run per kernel, as rows
+   kernels.<kernel>.ns_per_run and kernels.<kernel>.minor_words_per_run.
 
    The inference hot path is measured in pairs: the incremental-cache MH
    sweep against the stateless-delta one, and multi-domain inference
@@ -12,7 +12,6 @@ open Because_bgp
 module Sc = Because_scenario
 module Ctx = Bench_context
 module Rng = Because_stats.Rng
-module Manifest = Because_telemetry.Manifest
 
 let make_dataset () =
   (* A representative tomography instance: ~120 nodes, ~600 paths. *)
@@ -28,8 +27,6 @@ let make_dataset () =
   in
   Because.Tomography.of_observations observations
 
-type row = { name : string; ns_per_run : float; minor_words : float option }
-
 let tests () =
   let data = make_dataset () in
   let model = Because.Model.create data in
@@ -39,7 +36,7 @@ let tests () =
   let p = Array.init n (fun i -> 0.1 +. (0.8 *. float_of_int (i mod 7) /. 7.0)) in
   let rng = Rng.create 99 in
   let likelihood =
-    Bechamel.Test.make ~name:"log-likelihood"
+    Bechamel.Test.make ~name:"log_likelihood"
       (Bechamel.Staged.stage (fun () ->
            ignore (Because.Model.log_likelihood model p)))
   in
@@ -49,14 +46,14 @@ let tests () =
            ignore (Because.Model.grad_log_posterior model p)))
   in
   let delta_uncached =
-    Bechamel.Test.make ~name:"single-site delta (uncached)"
+    Bechamel.Test.make ~name:"delta_uncached"
       (Bechamel.Staged.stage (fun () ->
            ignore (Because.Model.delta_log_posterior model p 17 0.42)))
   in
   let delta_cached =
     (* One cache reused across runs; deltas without commits leave it at p. *)
     let cache = Because.Model.make_cache model p in
-    Bechamel.Test.make ~name:"single-site delta (cached)"
+    Bechamel.Test.make ~name:"delta_cached"
       (Bechamel.Staged.stage (fun () ->
            ignore (cache.Because_mcmc.Target.cached_delta 17 0.42)))
   in
@@ -67,8 +64,8 @@ let tests () =
              (Because_mcmc.Metropolis.run_single_site ~rng:(Rng.copy rng)
                 ~n_samples:50 ~burn_in:10 tgt)))
   in
-  let mh_cached = mh_sweep target "MH run 50 draws (cached)" in
-  let mh_uncached = mh_sweep target_uncached "MH run 50 draws (uncached)" in
+  let mh_cached = mh_sweep target "mh_50_draws_cached" in
+  let mh_uncached = mh_sweep target_uncached "mh_50_draws_uncached" in
   (* [checkpoint] builds the hooks afresh for every iteration. *)
   let infer_jobs ?(telemetry = Because_telemetry.Registry.disabled)
       ?checkpoint jobs name =
@@ -89,10 +86,10 @@ let tests () =
      so the rows differ only in scheduling width; results are bit-identical
      across the sweep by the pre-split RNG discipline.  CI fails the build
      if the jobs=4 row regresses below the jobs=1 row. *)
-  let infer_seq = infer_jobs 1 "inference 4 chains (jobs=1)" in
-  let infer_j2 = infer_jobs 2 "inference 4 chains (jobs=2)" in
-  let infer_par = infer_jobs 4 "inference 4 chains (jobs=4)" in
-  let infer_j8 = infer_jobs 8 "inference 4 chains (jobs=8)" in
+  let infer_seq = infer_jobs 1 "infer_4_chains_jobs1" in
+  let infer_j2 = infer_jobs 2 "infer_4_chains_jobs2" in
+  let infer_par = infer_jobs 4 "infer_4_chains_jobs4" in
+  let infer_j8 = infer_jobs 8 "infer_4_chains_jobs8" in
   (* Paired with [infer_seq]: the same run with live checkpoint hooks at the
      default cadence (wall-clock driven, so a bench-length run only pays the
      per-sweep cadence test plus the end-of-chain saves).  Every iteration
@@ -108,7 +105,7 @@ let tests () =
         let recovery = Sc.Recovery.create ~dir () in
         Sc.Recovery.attach recovery ~fingerprint:"bench-kernels";
         Sc.Recovery.chain_hooks recovery ~namespace:"bench.")
-      1 "inference 4 chains (jobs=1, checkpoint)"
+      1 "infer_4_chains_jobs1_checkpoint"
   in
   (* One live registry reused across iterations: spans overwrite their ring
      and counters just keep summing, so steady-state record cost — not
@@ -116,17 +113,17 @@ let tests () =
   let infer_tel =
     infer_jobs
       ~telemetry:(Because_telemetry.Registry.create ())
-      1 "inference 4 chains (jobs=1, telemetry)"
+      1 "infer_4_chains_jobs1_telemetry"
   in
   let hmc_traj =
-    Bechamel.Test.make ~name:"HMC run (10 draws)"
+    Bechamel.Test.make ~name:"hmc_10_draws"
       (Bechamel.Staged.stage (fun () ->
            ignore
              (Because_mcmc.Hmc.run ~rng:(Rng.copy rng) ~n_samples:10
                 ~burn_in:5 ~leapfrog_steps:10 target)))
   in
   let rfd_engine =
-    Bechamel.Test.make ~name:"RFD record+query"
+    Bechamel.Test.make ~name:"rfd_record_query"
       (Bechamel.Staged.stage (fun () ->
            let s = Rfd.create Rfd_params.cisco in
            for i = 0 to 19 do
@@ -135,7 +132,7 @@ let tests () =
            ignore (Rfd.suppressed s ~now:1300.0)))
   in
   let heap =
-    Bechamel.Test.make ~name:"event heap 1k push/pop"
+    Bechamel.Test.make ~name:"heap_1k_push_pop"
       (Bechamel.Staged.stage (fun () ->
            let h = Because_sim.Heap.create () in
            let local = Rng.create 7 in
@@ -148,7 +145,7 @@ let tests () =
            done))
   in
   let topology =
-    Bechamel.Test.make ~name:"topology generation (100 AS)"
+    Bechamel.Test.make ~name:"topology_100_as"
       (Bechamel.Staged.stage (fun () ->
            ignore
              (Because_topology.Generate.generate (Rng.create 3)
@@ -158,15 +155,19 @@ let tests () =
                   n_stub = 72;
                 })))
   in
-  (* Paired with whether the row runs only on the calling domain: the
-     minor-words measure sees no other domain, so the rows fanned out over
-     the pool print none rather than an undercount. *)
-  let pooled = [ infer_j2; infer_par; infer_j8 ] in
-  List.map
-    (fun t -> (t, not (List.memq t pooled)))
-    [ likelihood; gradient; delta_uncached; delta_cached; mh_uncached;
-      mh_cached; infer_seq; infer_j2; infer_par; infer_j8; infer_tel;
-      infer_ckpt; hmc_traj; rfd_engine; heap; topology ]
+  (* Groups of rows, in measuring order.  A group of several rows is
+     measured in alternating rounds, each row keeping its fastest estimate,
+     so drift over the section falls on paired rows alike.  The rows on the
+     calling domain come first: the first pooled [Parallel] run tunes the
+     calling domain's GC for the rest of the process, which a jobs=1 run of
+     the program never does, so the pooled rows come last.  Their
+     minor-words measure would see only the calling domain, so they print
+     none rather than an undercount. *)
+  [ ([ likelihood ], true); ([ gradient ], true); ([ delta_uncached ], true);
+    ([ delta_cached ], true); ([ mh_uncached ], true); ([ mh_cached ], true);
+    ([ infer_seq; infer_tel; infer_ckpt ], true); ([ hmc_traj ], true);
+    ([ rfd_engine ], true); ([ heap ], true); ([ topology ], true);
+    ([ infer_j2; infer_par; infer_j8 ], false) ]
 
 let estimate analysed =
   (* One test per Benchmark.all call, so the table has exactly one entry. *)
@@ -209,45 +210,22 @@ let measure cfg test =
   let words = estimate (Analyze.all ols minor_words results) in
   (time, words)
 
-let write_json path rows =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "{\n";
-      Printf.fprintf oc "  \"schema\": \"because-bench-kernels/1\",\n";
-      Printf.fprintf oc "  \"quick\": %b,\n" Ctx.quick;
-      output_string oc "  \"results\": [\n";
-      List.iteri
-        (fun k row ->
-          Printf.fprintf oc
-            "    { \"name\": \"%s\", \"ns_per_run\": %.3f%s }%s\n"
-            (Manifest.json_escape row.name) row.ns_per_run
-            (match row.minor_words with
-            | Some w -> Printf.sprintf ", \"minor_words_per_run\": %.1f" w
-            | None -> "")
-            (if k = List.length rows - 1 then "" else ","))
-        rows;
-      output_string oc "  ]\n}\n")
+let row_name kernel quantity = Printf.sprintf "kernels.%s.%s" kernel quantity
 
-let speedup rows ~slow ~fast ~label =
-  match
-    ( List.find_opt (fun r -> r.name = slow) rows,
-      List.find_opt (fun r -> r.name = fast) rows )
-  with
-  | Some s, Some f when f.ns_per_run > 0.0 ->
-      Printf.printf "%-32s %11.2fx\n" label (s.ns_per_run /. f.ns_per_run)
-  | _ -> ()
-
-let overhead rows ~off ~on ~label =
-  match
-    ( List.find_opt (fun r -> r.name = off) rows,
-      List.find_opt (fun r -> r.name = on) rows )
-  with
-  | Some o, Some n when o.ns_per_run > 0.0 ->
-      Printf.printf "%-32s %+10.2f%%\n" label
-        (((n.ns_per_run /. o.ns_per_run) -. 1.0) *. 100.0)
-  | _ -> ()
+(* Each row of [group] with its fastest (ns, words) estimate over three
+   alternating rounds; a single row is measured once. *)
+let measure_group cfg group =
+  let best = Array.make (List.length group) (None, None) in
+  for _ = 1 to if List.length group > 1 then 3 else 1 do
+    List.iteri
+      (fun i test ->
+        match (measure cfg test, best.(i)) with
+        | (Some ns, _), (Some b, _) when ns >= b -> ()
+        | ((Some _, _) as m), _ -> best.(i) <- m
+        | (None, _), _ -> ())
+      group
+  done;
+  List.combine group (Array.to_list best)
 
 let run () =
   Ctx.section "Kernel micro-benchmarks (Bechamel)";
@@ -256,45 +234,53 @@ let run () =
       ~quota:(Bechamel.Time.second 0.5) ~kde:None ()
   in
   let rows =
-    List.filter_map
-      (fun (test, calling_domain) ->
-        let name =
-          match Bechamel.Test.elements test with
-          | [ e ] -> Bechamel.Test.Elt.name e
-          | _ -> "?"
-        in
-        match measure cfg test with
-        | Some ns, words ->
-            let words = if calling_domain then words else None in
-            (if ns > 1_000_000.0 then
-               Printf.printf "%-32s %12.3f ms/run" name (ns /. 1e6)
-             else if ns > 1_000.0 then
-               Printf.printf "%-32s %12.3f µs/run" name (ns /. 1e3)
-             else Printf.printf "%-32s %12.1f ns/run" name ns);
-            (match words with
-            | Some w -> Printf.printf " %14.0f w/run\n" w
-            | None -> print_newline ());
-            Some { name; ns_per_run = ns; minor_words = words }
-        | None, _ ->
-            Printf.printf "%-32s (no estimate)\n" name;
-            None)
+    List.concat_map
+      (fun (group, calling_domain) ->
+        List.concat_map
+          (fun (test, estimate) ->
+            let name =
+              match Bechamel.Test.elements test with
+              | [ e ] -> Bechamel.Test.Elt.name e
+              | _ -> "?"
+            in
+            match estimate with
+            | Some ns, words ->
+                let words = if calling_domain then words else None in
+                (if ns > 1_000_000.0 then
+                   Printf.printf "%-32s %12.3f ms/run" name (ns /. 1e6)
+                 else if ns > 1_000.0 then
+                   Printf.printf "%-32s %12.3f µs/run" name (ns /. 1e3)
+                 else Printf.printf "%-32s %12.1f ns/run" name ns);
+                (match words with
+                | Some w -> Printf.printf " %14.0f w/run\n" w
+                | None -> print_newline ());
+                Ledger.row (row_name name "ns_per_run") "ns" Lower ns
+                :: Option.to_list
+                     (Option.map
+                        (Ledger.row (row_name name "minor_words_per_run")
+                           "words" Lower)
+                        words)
+            | None, _ ->
+                Printf.printf "%-32s (no estimate)\n" name;
+                [])
+          (measure_group cfg group))
       (tests ())
   in
-  speedup rows ~slow:"MH run 50 draws (uncached)" ~fast:"MH run 50 draws (cached)"
-    ~label:"MH sweep cache speedup";
-  speedup rows ~slow:"single-site delta (uncached)"
-    ~fast:"single-site delta (cached)" ~label:"single-site delta speedup";
-  speedup rows ~slow:"inference 4 chains (jobs=1)"
-    ~fast:"inference 4 chains (jobs=2)" ~label:"inference jobs=2 speedup";
-  speedup rows ~slow:"inference 4 chains (jobs=1)"
-    ~fast:"inference 4 chains (jobs=4)" ~label:"inference jobs=4 speedup";
-  speedup rows ~slow:"inference 4 chains (jobs=1)"
-    ~fast:"inference 4 chains (jobs=8)" ~label:"inference jobs=8 speedup";
-  overhead rows ~off:"inference 4 chains (jobs=1)"
-    ~on:"inference 4 chains (jobs=1, telemetry)"
-    ~label:"inference telemetry overhead";
-  overhead rows ~off:"inference 4 chains (jobs=1)"
-    ~on:"inference 4 chains (jobs=1, checkpoint)"
-    ~label:"inference checkpoint overhead";
-  write_json "BENCH_kernels.json" rows;
-  Printf.printf "wrote BENCH_kernels.json (%d kernels)\n" (List.length rows)
+  let ns kernel = row_name kernel "ns_per_run" in
+  Ledger.speedup rows ~label:"MH sweep cache speedup"
+    ~slow:(ns "mh_50_draws_uncached") ~fast:(ns "mh_50_draws_cached");
+  Ledger.speedup rows ~label:"single-site delta speedup"
+    ~slow:(ns "delta_uncached") ~fast:(ns "delta_cached");
+  List.iter
+    (fun jobs ->
+      Ledger.speedup rows
+        ~label:(Printf.sprintf "inference jobs=%d speedup" jobs)
+        ~slow:(ns "infer_4_chains_jobs1")
+        ~fast:(ns (Printf.sprintf "infer_4_chains_jobs%d" jobs)))
+    [ 2; 4; 8 ];
+  Ledger.overhead rows ~label:"inference telemetry overhead"
+    ~off:(ns "infer_4_chains_jobs1") ~on:(ns "infer_4_chains_jobs1_telemetry");
+  Ledger.overhead rows ~label:"inference checkpoint overhead"
+    ~off:(ns "infer_4_chains_jobs1")
+    ~on:(ns "infer_4_chains_jobs1_checkpoint");
+  Ledger.write ~section:"kernels" rows

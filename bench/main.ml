@@ -50,7 +50,9 @@ let () =
         sections
   | _ :: "--only" :: wanted :: _ -> (
       match List.find_opt (fun (id, _, _) -> id = wanted) sections with
-      | Some (_, _, run) -> run ()
+      | Some (_, _, run) ->
+          run ();
+          exit (if !Bench_context.failed then 1 else 0)
       | None ->
           Printf.eprintf "unknown section %s (try --list)\n" wanted;
           exit 1)
@@ -63,4 +65,5 @@ let () =
         (if Bench_context.quick then "quick (BECAUSE_BENCH_QUICK)" else "full");
       let t0 = Unix.gettimeofday () in
       List.iter (fun (_, _, run) -> run ()) sections;
-      Printf.printf "\ntotal bench time: %.0f s\n" (Unix.gettimeofday () -. t0)
+      Printf.printf "\ntotal bench time: %.0f s\n" (Unix.gettimeofday () -. t0);
+      exit (if !Bench_context.failed then 1 else 0)

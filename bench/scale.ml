@@ -15,10 +15,10 @@
    line the parent parses.
 
    Sizes: quick {100, 1000}; full {100, 1000, 5000, 10000}; override with
-   BECAUSE_SCALE_ASES=100,1000,5000.  Rows are appended to BENCH_sim.json
-   (kind "scale") so the sim and scale sections can both contribute to the
-   same artifact; CI's scale-smoke job guards the 1000-AS events/s against
-   bench/scale_baseline.json. *)
+   BECAUSE_SCALE_ASES=100,1000,5000.  Rows scale.ases<N>.* go to
+   BENCH_scale.json through {!Ledger}; CI's scale-smoke job guards the
+   1000-AS events/s against bench/scale_baseline.json.  A size whose child
+   fails gets no rows and makes the harness exit 1. *)
 
 module Sc = Because_scenario
 module Ctx = Bench_context
@@ -146,17 +146,9 @@ let child = function
       exit 2
 
 (* ------------------------------------------------------------------ *)
-(* Parent: spawn one child per size, parse rows, write JSON.            *)
+(* Parent: spawn one child per size, parse its RESULT, write the ledger. *)
 
-type row = {
-  ases : int;
-  links : int;
-  prefixes : int;
-  events : int;
-  seconds : float;
-  events_per_sec : float;
-  peak_rss_kb : int;
-}
+type child_result = { ases : int; events : int; seconds : float; peak_rss_kb : int }
 
 let run_child ~ases ~churn ~spill =
   let r, w = Unix.pipe () in
@@ -186,17 +178,8 @@ let parse_result lines =
         Scanf.sscanf line
           "RESULT ases=%d links=%d prefixes=%d events=%d seconds=%f \
            hwm_kb=%d replayed=%d"
-          (fun ases links prefixes events seconds hwm_kb _replayed ->
-            {
-              ases;
-              links;
-              prefixes;
-              events;
-              seconds;
-              events_per_sec =
-                (if seconds > 0.0 then float_of_int events /. seconds else 0.0);
-              peak_rss_kb = hwm_kb;
-            })
+          (fun ases _links _prefixes events seconds hwm_kb _replayed ->
+            { ases; events; seconds; peak_rss_kb = hwm_kb })
       with
       | row -> Some row
       | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None)
@@ -209,54 +192,6 @@ let sizes () =
         (fun tok -> int_of_string_opt (String.trim tok))
         (String.split_on_char ',' s)
   | None -> if Ctx.quick then [ 100; 1000 ] else [ 100; 1000; 5000; 10000 ]
-
-let row_json { ases; links; prefixes; events; seconds; events_per_sec; peak_rss_kb } =
-  Printf.sprintf
-    "    { \"name\": \"scale (ases=%d)\", \"kind\": \"scale\", \"ases\": %d, \
-     \"links\": %d, \"prefixes\": %d, \"events\": %d, \"seconds\": %.3f, \
-     \"events_per_sec\": %.1f, \"peak_rss_kb\": %d }"
-    ases ases links prefixes events seconds events_per_sec peak_rss_kb
-
-(* Splice scale rows into BENCH_sim.json: the sim section owns the document
-   when both run ([--only scale] in CI runs alone and writes a fresh one).
-   The writer ends every document with "  ]\n}\n", which is what the splice
-   keys on. *)
-let append_json path rows =
-  let payload = String.concat ",\n" (List.map row_json rows) in
-  let fresh () =
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        Printf.fprintf oc
-          "{\n  \"schema\": \"because-bench-sim/1\",\n  \"quick\": %b,\n  \
-           \"results\": [\n%s\n  ]\n}\n"
-          Ctx.quick payload)
-  in
-  if not (Sys.file_exists path) then fresh ()
-  else begin
-    let ic = open_in_bin path in
-    let content =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let suffix = "  ]\n}\n" in
-    let slen = String.length suffix and clen = String.length content in
-    if clen > slen && String.sub content (clen - slen) slen = suffix then begin
-      let head = String.sub content 0 (clen - slen) in
-      let oc = open_out_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc head;
-          output_string oc ",\n";
-          output_string oc payload;
-          output_string oc "\n";
-          output_string oc suffix)
-    end
-    else fresh ()
-  end
 
 let run () =
   Ctx.section "Internet-scale sweep (events/s and peak RSS vs AS count)";
@@ -275,7 +210,8 @@ let run () =
                 Printf.printf
                   "ases=%d: %d events in %.2f s (%.0f events/s), peak RSS %d \
                    MB\n%!"
-                  row.ases row.events row.seconds row.events_per_sec
+                  row.ases row.events row.seconds
+                  (float_of_int row.events /. row.seconds)
                   (row.peak_rss_kb / 1024);
                 Some row
             | None ->
@@ -298,8 +234,19 @@ let run () =
           (float_of_int last.peak_rss_kb /. float_of_int first.peak_rss_kb)
           (last.ases / max 1 first.ases)
   | _ -> ());
-  if rows <> [] then begin
-    append_json "BENCH_sim.json" rows;
-    Printf.printf "appended %d scale rows to BENCH_sim.json\n"
-      (List.length rows)
-  end
+  (* Written even when every child failed: an empty ledger fails the shape
+     check, so a sweep that measured nothing cannot pass as one that did. *)
+  Ledger.write ~section:"scale"
+    (List.concat_map
+       (fun { ases; events; seconds; peak_rss_kb } ->
+         let name q = Printf.sprintf "scale.ases%d.%s" ases q in
+         [ Ledger.row (name "events") "count" Lower (float_of_int events);
+           Ledger.row (name "run_s") "s" Lower seconds;
+           Ledger.row (name "events_per_s") "1/s" Higher
+             (float_of_int events /. seconds);
+           Ledger.row (name "peak_rss_mb") "MB" Lower
+             (float_of_int peak_rss_kb /. 1024.0) ])
+       rows);
+  let failed = List.length (sizes ()) - List.length rows in
+  if failed > 0 then
+    Ctx.fail (Printf.sprintf "scale: %d of the sizes produced no row" failed)

@@ -1,14 +1,11 @@
 (* Service scheduler benchmarks: sustained campaign throughput, queue wait
    latency, and the wall-clock cost of a drain-and-restart cycle versus an
-   uninterrupted run.  Writes BENCH_service.json (CI artifact) so the
-   scheduler's overhead is tracked the same way as the kernels. *)
+   uninterrupted run.  Writes BENCH_service.json through {!Ledger}. *)
 
 module Ctx = Bench_context
 module Svc = Because_service.Service
 module Sspec = Because_service.Spec
 module Store = Because_service.Store
-
-type row = { name : string; value : float; unit_ : string }
 
 let fresh_dir () =
   let f = Filename.temp_file "because-bench-service" ".dir" in
@@ -40,24 +37,6 @@ let percentile sorted p =
   | n ->
       let rank = int_of_float (ceil (p *. float_of_int n)) - 1 in
       sorted.(max 0 (min (n - 1) rank))
-
-let write_json path rows =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "{\n";
-      Printf.fprintf oc "  \"schema\": \"because-bench-service/1\",\n";
-      Printf.fprintf oc "  \"quick\": %b,\n" Ctx.quick;
-      output_string oc "  \"results\": [\n";
-      List.iteri
-        (fun k row ->
-          Printf.fprintf oc
-            "    { \"name\": \"%s\", \"value\": %.3f, \"unit\": \"%s\" }%s\n"
-            row.name row.value row.unit_
-            (if k = List.length rows - 1 then "" else ","))
-        rows;
-      output_string oc "  ]\n}\n")
 
 let run () =
   Ctx.section "service scheduler";
@@ -114,13 +93,11 @@ let run () =
   let overhead = (interrupted_s /. cold_s -. 1.0) *. 100.0 in
   Printf.printf "%-36s %10.1f s (cold %.1f s, %+.1f%%)\n"
     "drain + warm restart" interrupted_s cold_s overhead;
-  let rows =
-    [ { name = "campaigns_per_hour"; value = per_hour; unit_ = "1/h" };
-      { name = "queue_wait_p50"; value = p50; unit_ = "s" };
-      { name = "queue_wait_p99"; value = p99; unit_ = "s" };
-      { name = "cold_run"; value = cold_s; unit_ = "s" };
-      { name = "drain_restart_run"; value = interrupted_s; unit_ = "s" };
-      { name = "drain_restart_overhead"; value = overhead; unit_ = "%" } ]
-  in
-  write_json "BENCH_service.json" rows;
-  Printf.printf "wrote BENCH_service.json (%d rows)\n" (List.length rows)
+  let name q = Printf.sprintf "service.jobs%d.%s" jobs q in
+  Ledger.write ~section:"service"
+    [ Ledger.row (name "campaigns_per_h") "1/h" Higher per_hour;
+      Ledger.row (name "queue_wait_s.p50") "s" Lower p50;
+      Ledger.row (name "queue_wait_s.p99") "s" Lower p99;
+      Ledger.row (name "cold_run_s") "s" Lower cold_s;
+      Ledger.row (name "drain_restart_run_s") "s" Lower interrupted_s;
+      Ledger.row (name "drain_restart_overhead_pct") "%" Lower overhead ]

@@ -1,7 +1,7 @@
 (* chaos_proxy — socket-level fault injection driver for the service
    plane.
 
-   Starts a {!Because_http.Fault_proxy} in front of a running HTTP
+   Starts a {!Fault_proxy} in front of a running HTTP
    server, fires a deterministic probe schedule through it (slowloris'd,
    stalled, reset, and flooded connections mixed with clean ones), and
    classifies what came back.  A response is TORN when it is complete by
@@ -12,7 +12,7 @@
    Usage: chaos_proxy --upstream-port P [--port 0] [--seed N]
                       [--requests 64] [--flood 32] *)
 
-module Proxy = Because_http.Fault_proxy
+module Proxy = Fault_proxy
 
 let upstream_port = ref 0
 let listen_port = ref 0

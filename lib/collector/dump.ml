@@ -52,27 +52,6 @@ let of_feeds ?(gaps_of = fun _ -> []) rng ~feed_of ~vantages ~noise
   Array.stable_sort (fun a b -> Float.compare a.export_at b.export_at) sorted;
   Array.to_list sorted
 
-let of_network ?gaps_of rng net ~vantages ~noise ~campaign_end =
-  of_feeds ?gaps_of rng
-    ~feed_of:(Because_sim.Network.feed net)
-    ~vantages ~noise ~campaign_end ()
-
-let for_prefix_vp records prefix vp_id =
-  List.filter
-    (fun r ->
-      r.vp.Vantage.vp_id = vp_id
-      && Prefix.equal (Update.prefix r.update) prefix)
-    records
-
-let prefixes records =
-  List.fold_left
-    (fun acc r -> Prefix.Set.add (Update.prefix r.update) acc)
-    Prefix.Set.empty records
-
-let vp_ids records =
-  List.sort_uniq Int.compare
-    (List.map (fun r -> r.vp.Vantage.vp_id) records)
-
 let announcements_with_valid_aggregator records =
   List.filter
     (fun r ->

@@ -1,6 +1,6 @@
 (** Update dumps: the MRT-like records the analysis pipeline consumes.
 
-    {!of_network} turns the monitored full feeds of a finished simulation
+    {!of_feeds} turns the monitored full feeds of a finished simulation
     into per-vantage-point dump records, adding project-specific export
     latency and applying {!Noise}. *)
 
@@ -24,7 +24,7 @@ val of_feeds :
   record list
 (** All records across all vantage points, sorted by [export_at].
     [feed_of] maps a host AS to its chronological full-feed observations
-    (e.g. {!Because_sim.Network.feed} or {!Because_sim.Sharded.feed}).
+    (e.g. [Because_sim.Network.feed] or [Because_sim.Sharded.feed]).
 
     [gaps_of vp_id] returns extra collector-outage windows for a vantage
     point (e.g. from an injected fault plan); records received inside any
@@ -33,22 +33,6 @@ val of_feeds :
 
     Noise draws are made per vantage in list order, then per feed record —
     identical feeds therefore yield identical dumps for a given [rng]. *)
-
-val of_network :
-  ?gaps_of:(int -> (float * float) list) ->
-  Because_stats.Rng.t ->
-  Because_sim.Network.t ->
-  vantages:Vantage.t list ->
-  noise:Noise.params ->
-  campaign_end:float ->
-  record list
-(** [of_feeds] over a finished simulation's monitored feeds. *)
-
-val for_prefix_vp : record list -> Prefix.t -> int -> record list
-(** Records of one (prefix, vantage point) pair, chronological. *)
-
-val prefixes : record list -> Prefix.Set.t
-val vp_ids : record list -> int list
 
 val announcements_with_valid_aggregator : record list -> record list
 (** The paper's cleaning step: discard announcements whose aggregator IP is

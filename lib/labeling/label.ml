@@ -116,22 +116,26 @@ let label_vp_prefix ?min_r_delta ?margin ?(match_threshold = 0.9)
 
 let label_all ?min_r_delta ?margin ?match_threshold ?(gaps_of = fun _ -> [])
     ~records ~windows_of () =
-  (* Group records per (vp, prefix), preserving chronology. *)
+  (* Group records per (vp, prefix), preserving chronology.  A record of a
+     prefix without Burst–Break windows (an anchor, background churn) could
+     never be labeled, so it is skipped before it is hashed or kept. *)
   let groups = Hashtbl.create 64 in
   List.iter
     (fun (r : Dump.record) ->
-      let key =
-        (r.vp.Because_collector.Vantage.vp_id, Update.prefix r.update)
-      in
-      let cell =
-        match Hashtbl.find_opt groups key with
-        | Some c -> c
-        | None ->
-            let c = ref [] in
-            Hashtbl.replace groups key c;
-            c
-      in
-      cell := r :: !cell)
+      let prefix = Update.prefix r.update in
+      match windows_of prefix with
+      | [] -> ()
+      | _ :: _ ->
+          let key = (r.vp.Because_collector.Vantage.vp_id, prefix) in
+          let cell =
+            match Hashtbl.find_opt groups key with
+            | Some c -> c
+            | None ->
+                let c = ref [] in
+                Hashtbl.replace groups key c;
+                c
+          in
+          cell := r :: !cell)
     records;
   let keys =
     Hashtbl.fold (fun key _ acc -> key :: acc) groups []
@@ -142,12 +146,9 @@ let label_all ?min_r_delta ?margin ?match_threshold ?(gaps_of = fun _ -> [])
   in
   List.concat_map
     (fun ((vp_id, prefix) as key) ->
-      match windows_of prefix with
-      | [] -> []
-      | windows ->
-          let records = List.rev !(Hashtbl.find groups key) in
-          label_vp_prefix ?min_r_delta ?margin ?match_threshold
-            ~gaps:(gaps_of vp_id) ~records ~windows ())
+      let records = List.rev !(Hashtbl.find groups key) in
+      label_vp_prefix ?min_r_delta ?margin ?match_threshold
+        ~gaps:(gaps_of vp_id) ~records ~windows:(windows_of prefix) ())
     keys
 
 let observations labeled =

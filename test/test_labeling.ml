@@ -195,7 +195,25 @@ let test_label_all_groups () =
   Alcotest.(check int) "one per (vp,prefix) with windows" 2
     (List.length labeled);
   let obs = Label.observations labeled in
-  Alcotest.(check int) "observations" 2 (List.length obs)
+  Alcotest.(check int) "observations" 2 (List.length obs);
+  (* An anchor prefix's stream, at both vantage points and interleaved with
+     the windowed records, has no windows: labeling with it must equal
+     labeling without it. *)
+  let anchor = Prefix.of_string "10.0.3.0/24" in
+  let anchor_update t =
+    Update.Announce
+      { prefix = anchor; as_path = path [ 9; 65001 ]; aggregator = agg t }
+  in
+  let with_anchor =
+    List.concat_map
+      (fun (r : Dump.record) ->
+        [ { r with Dump.update = anchor_update (r.Dump.export_at -. 1.0) };
+          r;
+          { r with Dump.update = Update.Withdraw { prefix = anchor } } ])
+      records
+  in
+  Alcotest.(check bool) "anchor stream changes nothing" true
+    (Label.label_all ~records:with_anchor ~windows_of () = labeled)
 
 let suite =
   ( "labeling",
